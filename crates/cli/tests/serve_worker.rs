@@ -7,6 +7,7 @@
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 use std::process::{Child, Command, Stdio};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Duration;
 
 use rfc_core::prelude::*;
@@ -25,8 +26,14 @@ impl Daemon {
     /// Spawns `maxfairclique serve --port 0 --workers <n>` and connects to the
     /// address it prints.
     fn spawn(workers: usize) -> Daemon {
-        let dir =
-            std::env::temp_dir().join(format!("rfc-serve-worker-{}-{workers}", std::process::id()));
+        // One directory per daemon: tests run side by side in one process, and
+        // each daemon deletes its own directory when it goes away.
+        static NEXT_DAEMON: AtomicUsize = AtomicUsize::new(0);
+        let dir = std::env::temp_dir().join(format!(
+            "rfc-serve-worker-{}-{}",
+            std::process::id(),
+            NEXT_DAEMON.fetch_add(1, Ordering::Relaxed)
+        ));
         std::fs::create_dir_all(&dir).unwrap();
         let mut child = Command::new(env!("CARGO_BIN_EXE_maxfairclique"))
             .args(["serve", "--port", "0", "--workers", &workers.to_string()])

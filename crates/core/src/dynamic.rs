@@ -99,7 +99,7 @@ use crate::enumerate::{
 };
 use crate::heuristic::heur_rfc;
 use crate::problem::{FairClique, FairCliqueParams, FairnessModel};
-use crate::reduction::{apply_reductions, apply_reductions_controlled, ReductionConfig};
+use crate::reduction::{apply_reductions_controlled, ReductionConfig};
 use crate::search::control::{SearchControl, StopReason};
 use crate::search::parallel::SharedIncumbent;
 use crate::search::{branch_and_bound, SearchConfig, SearchStats, ThreadCount};
@@ -558,7 +558,8 @@ impl DynamicRfcSolver {
         // the contract above).
         let ctrl = SearchControl::new(&query.budget, query.cancel.clone());
         let key = (params.k, query.config.reductions);
-        let Some(hit) = self.ensure_entry_controlled(&key, Some(&ctrl)) else {
+        let Some(hit) = self.ensure_entry_controlled(&key, Some(&ctrl), query.config.threads)
+        else {
             stats.elapsed_micros = start.elapsed().as_micros() as u64;
             return Ok(Solution {
                 cliques: Vec::new(),
@@ -656,8 +657,14 @@ impl DynamicRfcSolver {
             // Global colorful bound over the reduced graph — sound (if loose) for any
             // shard, and enough to certify an incumbent that meets it.
             let ub = crate::solver::colorful_upper_bound(&reduced.graph, params).max(best_size);
-            if query.objective == Objective::Maximum && ub == best_size && best_size > 0 {
-                termination = Termination::Optimal;
+            // Same certification rule as the static solver: a proven bound of 0
+            // with nothing found is a proof of infeasibility.
+            if query.objective == Objective::Maximum && ub == best_size {
+                termination = if best_size > 0 {
+                    Termination::Optimal
+                } else {
+                    Termination::Infeasible
+                };
             }
             Some(ub)
         };
@@ -716,7 +723,7 @@ impl DynamicRfcSolver {
         // work, while cache-served entries stay budget-exempt.
         let ctrl = SearchControl::new(&query.budget, query.cancel.clone());
         let key = (params.k, query.reductions);
-        let Some(hit) = self.ensure_entry_controlled(&key, Some(&ctrl)) else {
+        let Some(hit) = self.ensure_entry_controlled(&key, Some(&ctrl), query.threads) else {
             stats.elapsed_micros = start.elapsed().as_micros() as u64;
             return Ok(EnumOutcome {
                 emitted: 0,
@@ -844,6 +851,7 @@ impl DynamicRfcSolver {
         &mut self,
         key: &EntryKey,
         ctrl: Option<&SearchControl>,
+        threads: ThreadCount,
     ) -> Option<bool> {
         if matches!(
             self.entries.get(key).map(|e| &e.state),
@@ -857,7 +865,8 @@ impl DynamicRfcSolver {
         let params = FairCliqueParams::new(key.0, 0).expect("k >= 1 was validated by the caller");
         match self.entries.remove(key) {
             None => {
-                let (graph, stats) = apply_reductions_controlled(&self.graph, params, &key.1, ctrl);
+                let (graph, stats) =
+                    apply_reductions_controlled(&self.graph, params, &key.1, ctrl, threads);
                 // A mid-pipeline trip caches nothing; the next query recomputes.
                 let graph = graph?;
                 self.preprocessing_runs += 1;
@@ -880,7 +889,7 @@ impl DynamicRfcSolver {
                 mut solve_cache,
                 mut enum_cache,
             }) => {
-                let reduced = Arc::new(self.splice(&old, &changed, params, &key.1));
+                let reduced = Arc::new(self.splice(&old, &changed, params, &key.1, threads));
                 self.preprocessing_runs += 1;
                 let components = Arc::new(build_components(&reduced.graph, params.min_size()));
                 // Drop results for components that no longer exist; identical
@@ -919,6 +928,7 @@ impl DynamicRfcSolver {
         changed: &BTreeSet<VertexId>,
         params: FairCliqueParams,
         config: &ReductionConfig,
+        threads: ThreadCount,
     ) -> ReducedEntry {
         let comps = connected_components(&self.graph);
         let mut dirty_comp = vec![false; comps.num_components];
@@ -934,7 +944,9 @@ impl DynamicRfcSolver {
             .collect();
 
         let dirty_sub = vertex_filtered_subgraph(&self.graph, &dirty);
-        let (reduced_dirty, dirty_stats) = apply_reductions(&dirty_sub, params, config);
+        let (reduced_dirty, dirty_stats) =
+            apply_reductions_controlled(&dirty_sub, params, config, None, threads);
+        let reduced_dirty = reduced_dirty.expect("uncontrolled reduction cannot be interrupted");
 
         let mut edges: Vec<(VertexId, VertexId)> = old
             .graph

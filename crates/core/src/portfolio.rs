@@ -484,13 +484,14 @@ fn run_member(
     if ctrl.check_now() {
         return (stopped_termination(ctrl), stats, false, None);
     }
-    let (reduced, hit) = match solver.reduced_controlled(params.k, &cfg.reductions, Some(ctrl)) {
-        Ok(pair) => pair,
-        Err(partial) => {
-            stats.reduction = partial;
-            return (stopped_termination(ctrl), stats, false, None);
-        }
-    };
+    let (reduced, hit) =
+        match solver.reduced_controlled(params.k, &cfg.reductions, Some(ctrl), cfg.threads) {
+            Ok(pair) => pair,
+            Err(partial) => {
+                stats.reduction = partial;
+                return (stopped_termination(ctrl), stats, false, None);
+            }
+        };
     stats.reduction = reduced.stats.clone();
 
     if cfg.use_heuristic && !ctrl.check_now() {
@@ -530,7 +531,9 @@ fn run_improver(
     seed: u64,
 ) -> (u64, u64) {
     let original = solver.graph();
-    let Ok((entry, _)) = solver.reduced_controlled(params.k, &base.reductions, Some(ctrl)) else {
+    let Ok((entry, _)) =
+        solver.reduced_controlled(params.k, &base.reductions, Some(ctrl), base.threads)
+    else {
         return (0, 0);
     };
     let g = &entry.graph;

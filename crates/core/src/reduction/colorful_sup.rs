@@ -15,18 +15,19 @@ use super::edge_support::{peel_edges, support_requirements};
 
 /// Runs `ColorfulSup` and returns the surviving subgraph (same vertex-id space).
 pub fn colorful_sup_reduction(g: &AttributedGraph, k: usize) -> AttributedGraph {
-    let alive = colorful_sup_alive_edges(g, k);
+    let alive = colorful_sup_alive_edges(g, k, 1);
     edge_filtered_subgraph(g, &alive)
 }
 
 /// Runs `ColorfulSup` and returns the edge aliveness mask (useful for composing with
-/// other edge filters without materializing intermediate graphs).
-pub fn colorful_sup_alive_edges(g: &AttributedGraph, k: usize) -> Vec<bool> {
+/// other edge filters without materializing intermediate graphs). `workers` caps the
+/// threads of the support build; the mask does not depend on it.
+pub fn colorful_sup_alive_edges(g: &AttributedGraph, k: usize, workers: usize) -> Vec<bool> {
     let coloring = greedy_coloring(g);
-    peel_edges(g, &coloring, |state, e| {
+    peel_edges(g, &coloring, workers, |e, groups| {
         let (u, v) = g.edge_endpoints(e);
         let (need_a, need_b) = support_requirements(g.attribute(u), g.attribute(v), k);
-        let (sup_a, sup_b) = state.colorful_support(e);
+        let (sup_a, sup_b) = groups.colorful_support();
         sup_a < need_a || sup_b < need_b
     })
 }

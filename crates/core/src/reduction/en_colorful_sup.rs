@@ -16,17 +16,18 @@ use super::edge_support::{peel_edges, support_requirements};
 
 /// Runs `EnColorfulSup` and returns the surviving subgraph (same vertex-id space).
 pub fn en_colorful_sup_reduction(g: &AttributedGraph, k: usize) -> AttributedGraph {
-    let alive = en_colorful_sup_alive_edges(g, k);
+    let alive = en_colorful_sup_alive_edges(g, k, 1);
     edge_filtered_subgraph(g, &alive)
 }
 
-/// Runs `EnColorfulSup` and returns the edge aliveness mask.
-pub fn en_colorful_sup_alive_edges(g: &AttributedGraph, k: usize) -> Vec<bool> {
+/// Runs `EnColorfulSup` and returns the edge aliveness mask. `workers` caps the
+/// threads of the support build; the mask does not depend on it.
+pub fn en_colorful_sup_alive_edges(g: &AttributedGraph, k: usize, workers: usize) -> Vec<bool> {
     let coloring = greedy_coloring(g);
-    peel_edges(g, &coloring, |state, e| {
+    peel_edges(g, &coloring, workers, |e, groups| {
         let (u, v) = g.edge_endpoints(e);
         let (need_a, need_b) = support_requirements(g.attribute(u), g.attribute(v), k);
-        let (gsup_a, gsup_b) = state.groups(e).demand_assignment(need_a, need_b);
+        let (gsup_a, gsup_b) = groups.demand_assignment(need_a, need_b);
         gsup_a < need_a || gsup_b < need_b
     })
 }

@@ -23,9 +23,11 @@ pub mod edge_support;
 pub mod en_colorful_sup;
 pub mod streaming;
 
+use rfc_graph::subgraph::edge_filtered_subgraph;
 use rfc_graph::AttributedGraph;
 
 use crate::problem::FairCliqueParams;
+use crate::search::ThreadCount;
 
 /// Which reduction stages to run, in pipeline order.
 ///
@@ -133,14 +135,17 @@ pub fn apply_reductions(
     params: FairCliqueParams,
     config: &ReductionConfig,
 ) -> (AttributedGraph, ReductionStats) {
-    let (reduced, stats) = apply_reductions_controlled(g, params, config, None);
+    let (reduced, stats) =
+        apply_reductions_controlled(g, params, config, None, ThreadCount::Serial);
     (
         reduced.expect("uncontrolled reduction cannot be interrupted"),
         stats,
     )
 }
 
-/// [`apply_reductions`] with a cooperative stop check between pipeline stages.
+/// [`apply_reductions`] with a cooperative stop check between pipeline stages, and
+/// with the edge stages' support builds spread over up to `threads` workers (the
+/// reduced graph does not depend on the thread count).
 ///
 /// When the control trips (deadline passed or cancel token fired) before a stage
 /// starts, the pipeline aborts: the graph comes back as `None` and the stats cover
@@ -152,7 +157,9 @@ pub(crate) fn apply_reductions_controlled(
     params: FairCliqueParams,
     config: &ReductionConfig,
     ctrl: Option<&crate::search::control::SearchControl>,
+    threads: ThreadCount,
 ) -> (Option<AttributedGraph>, ReductionStats) {
+    let workers = threads.resolve();
     let mut stats = ReductionStats {
         original_vertices: g.num_vertices(),
         original_edges: g.num_edges(),
@@ -183,7 +190,10 @@ pub(crate) fn apply_reductions_controlled(
             "ColorfulSup",
             "reduce/ColorfulSup",
             &mut stats,
-            |g| colorful_sup::colorful_sup_reduction(g, params.k),
+            |g| {
+                let alive = colorful_sup::colorful_sup_alive_edges(g, params.k, workers);
+                edge_filtered_subgraph(g, &alive)
+            },
         );
     }
     if config.en_colorful_sup {
@@ -195,7 +205,10 @@ pub(crate) fn apply_reductions_controlled(
             "EnColorfulSup",
             "reduce/EnColorfulSup",
             &mut stats,
-            |g| en_colorful_sup::en_colorful_sup_reduction(g, params.k),
+            |g| {
+                let alive = en_colorful_sup::en_colorful_sup_alive_edges(g, params.k, workers);
+                edge_filtered_subgraph(g, &alive)
+            },
         );
     }
 

@@ -559,14 +559,18 @@ impl RfcSolver {
         if ctrl.check_now() {
             return Ok(stopped_outcome(&ctrl, stats));
         }
-        let (reduced, reduction_cache_hit) =
-            match self.reduced_controlled(params.k, &query.reductions, Some(&ctrl)) {
-                Ok(pair) => pair,
-                Err(partial) => {
-                    stats.reduction = partial;
-                    return Ok(stopped_outcome(&ctrl, stats));
-                }
-            };
+        let (reduced, reduction_cache_hit) = match self.reduced_controlled(
+            params.k,
+            &query.reductions,
+            Some(&ctrl),
+            query.threads,
+        ) {
+            Ok(pair) => pair,
+            Err(partial) => {
+                stats.reduction = partial;
+                return Ok(stopped_outcome(&ctrl, stats));
+            }
+        };
         stats.reduction = reduced.stats.clone();
 
         let problem = EnumProblem {
@@ -713,7 +717,8 @@ impl RfcSolver {
         // A budget/cancel trip mid-pipeline aborts without caching the partial result.
         let (reduced, reduction_cache_hit) = {
             let mut span = rfc_obs::trace::span("reduce");
-            match self.reduced_controlled(params.k, &query.config.reductions, Some(&ctrl)) {
+            match self.reduced_controlled(params.k, &query.config.reductions, Some(&ctrl), threads)
+            {
                 Ok((reduced, hit)) => {
                     span.counter("cache_hit", hit as u64);
                     span.counter("vertices", reduced.stats.final_vertices() as u64);
@@ -806,7 +811,8 @@ impl RfcSolver {
     }
 
     /// Fetches (or computes and caches) the reduced graph for `(k, config)`, honoring
-    /// the query's budget/cancel control between pipeline stages.
+    /// the query's budget/cancel control between pipeline stages. A miss builds the
+    /// edge supports on up to `threads` workers.
     ///
     /// Cache hits are free and always served, even on a tripped control. On a miss,
     /// a trip mid-pipeline returns `Err` with the partial stage stats and caches
@@ -817,6 +823,7 @@ impl RfcSolver {
         k: usize,
         config: &ReductionConfig,
         ctrl: Option<&SearchControl>,
+        threads: ThreadCount,
     ) -> Result<(Arc<ReducedEntry>, bool), ReductionStats> {
         let key = (k, *config);
         if let Some(entry) = self
@@ -830,7 +837,8 @@ impl RfcSolver {
         // Compute outside the lock so concurrent queries for *different* keys don't
         // serialize; racing queries for the same key keep the first finished result.
         let params = FairCliqueParams::new(k, 0).expect("k >= 1 was validated by the caller");
-        let (graph, stats) = apply_reductions_controlled(&self.graph, params, config, ctrl);
+        let (graph, stats) =
+            apply_reductions_controlled(&self.graph, params, config, ctrl, threads);
         let Some(graph) = graph else {
             return Err(stats);
         };

@@ -53,7 +53,7 @@ pub fn colorful_k_core_mask(g: &AttributedGraph, coloring: &Coloring, k: usize) 
             if !alive[u as usize] {
                 continue;
             }
-            if counts.remove_neighbor(u, color_v, attr_v) {
+            if counts.remove_neighbor(u, color_v, attr_v)[attr_v.index()] == 0 {
                 degs.per_attr[u as usize][attr_v.index()] -= 1;
                 if (degs.min_degree(u) as usize) < k && !queued[u as usize] {
                     queue.push_back(u);
@@ -120,7 +120,7 @@ pub fn colorful_core_decomposition(
             if !alive[u as usize] {
                 continue;
             }
-            if counts.remove_neighbor(u, color_v, attr_v) {
+            if counts.remove_neighbor(u, color_v, attr_v)[attr_v.index()] == 0 {
                 degs.per_attr[u as usize][attr_v.index()] -= 1;
                 heap.push(Reverse((degs.min_degree(u), u)));
             }

@@ -18,7 +18,6 @@
 
 use std::collections::VecDeque;
 
-use crate::attr::Attribute;
 use crate::coloring::Coloring;
 use crate::graph::{AttributedGraph, VertexId};
 
@@ -39,25 +38,47 @@ impl ColorGroups {
     /// Builds groups from per-color attribute counts.
     pub fn from_counts<'a, I: IntoIterator<Item = &'a [u32; 2]>>(counts: I) -> Self {
         let mut g = ColorGroups::default();
-        for &[a, b] in counts {
-            match (a > 0, b > 0) {
-                (true, true) => g.mixed += 1,
-                (true, false) => g.exclusive[0] += 1,
-                (false, true) => g.exclusive[1] += 1,
-                (false, false) => {}
-            }
+        for &c in counts {
+            g.insert(c);
         }
         g
     }
 
-    /// Classifies a single color given its per-attribute counts.
-    fn class_of(counts: [u32; 2]) -> Option<usize> {
-        match (counts[0] > 0, counts[1] > 0) {
-            (true, true) => Some(2),
-            (true, false) => Some(0),
-            (false, true) => Some(1),
+    /// The group a color with these per-attribute counts belongs to (`None` when
+    /// both counts are zero).
+    fn group_of(&mut self, [a, b]: [u32; 2]) -> Option<&mut usize> {
+        match (a > 0, b > 0) {
+            (true, true) => Some(&mut self.mixed),
+            (true, false) => Some(&mut self.exclusive[0]),
+            (false, true) => Some(&mut self.exclusive[1]),
             (false, false) => None,
         }
+    }
+
+    /// Adds one color with the given per-attribute counts.
+    #[inline]
+    pub fn insert(&mut self, counts: [u32; 2]) {
+        if let Some(group) = self.group_of(counts) {
+            *group += 1;
+        }
+    }
+
+    /// Moves one color whose counts changed from `before` to `after` to its new group.
+    #[inline]
+    pub fn reclassify(&mut self, before: [u32; 2], after: [u32; 2]) {
+        if let Some(group) = self.group_of(before) {
+            *group -= 1;
+        }
+        self.insert(after);
+    }
+
+    /// The plain colorful supports `(sup_a, sup_b)`: the distinct colors seen per
+    /// attribute, where a mixed color counts for both (Definition 6).
+    pub fn colorful_support(&self) -> (usize, usize) {
+        (
+            self.exclusive[0] + self.mixed,
+            self.exclusive[1] + self.mixed,
+        )
     }
 
     /// Total number of distinct colors.
@@ -112,16 +133,7 @@ pub fn enhanced_colorful_degree_from_groups(ca: usize, cb: usize, cm: usize) -> 
 pub fn enhanced_colorful_degrees(g: &AttributedGraph, coloring: &Coloring) -> Vec<usize> {
     let counts = NeighborColorCounts::new(g, coloring);
     g.vertices()
-        .map(|v| {
-            let groups = ColorGroups::from_counts(
-                counts
-                    .colors_of(v)
-                    .map(|(_, c)| c)
-                    .collect::<Vec<_>>()
-                    .iter(),
-            );
-            groups.enhanced_degree()
-        })
+        .map(|v| counts.groups(v).enhanced_degree())
         .collect()
 }
 
@@ -139,13 +151,7 @@ pub fn enhanced_colorful_k_core_mask(
     }
     let mut counts = NeighborColorCounts::new(g, coloring);
     // Per-vertex color groups, maintained incrementally.
-    let mut groups: Vec<ColorGroups> = g
-        .vertices()
-        .map(|v| {
-            let per_color: Vec<[u32; 2]> = counts.colors_of(v).map(|(_, c)| c).collect();
-            ColorGroups::from_counts(per_color.iter())
-        })
-        .collect();
+    let mut groups: Vec<ColorGroups> = g.vertices().map(|v| counts.groups(v)).collect();
 
     let mut queue: VecDeque<VertexId> = VecDeque::new();
     let mut queued = vec![false; n];
@@ -166,33 +172,14 @@ pub fn enhanced_colorful_k_core_mask(
             if !alive[u as usize] {
                 continue;
             }
-            let before = [
-                counts.count(u, color_v, Attribute::A),
-                counts.count(u, color_v, Attribute::B),
-            ];
-            counts.remove_neighbor(u, color_v, attr_v);
-            let after = [
-                counts.count(u, color_v, Attribute::A),
-                counts.count(u, color_v, Attribute::B),
-            ];
-            let old_class = ColorGroups::class_of(before);
-            let new_class = ColorGroups::class_of(after);
-            if old_class != new_class {
-                let gu = &mut groups[u as usize];
-                match old_class {
-                    Some(2) => gu.mixed -= 1,
-                    Some(i) => gu.exclusive[i] -= 1,
-                    None => {}
-                }
-                match new_class {
-                    Some(2) => gu.mixed += 1,
-                    Some(i) => gu.exclusive[i] += 1,
-                    None => {}
-                }
-                if gu.enhanced_degree() < k && !queued[u as usize] {
-                    queue.push_back(u);
-                    queued[u as usize] = true;
-                }
+            let after = counts.remove_neighbor(u, color_v, attr_v);
+            let mut before = after;
+            before[attr_v.index()] += 1;
+            let gu = &mut groups[u as usize];
+            gu.reclassify(before, after);
+            if gu.enhanced_degree() < k && !queued[u as usize] {
+                queue.push_back(u);
+                queued[u as usize] = true;
             }
         }
     }

@@ -5,6 +5,9 @@
 //!
 //! * [`ColorfulDegrees`] / [`colorful_degrees`] — Definition 2: for each vertex, the
 //!   number of distinct colors among its neighbors of each attribute.
+//! * [`ColorCountSlab`] — the flat `(color, [count_a, count_b])` table behind
+//!   [`NeighborColorCounts`] and the per-edge supports of the reductions in
+//!   `rfc-core`.
 //! * [`colorful_k_core_mask`] — Definition 3: the maximal subgraph in which every vertex
 //!   sees at least `k` distinct colors of **each** attribute among its neighbors.
 //! * [`ColorfulCoreDecomposition`] / [`colorful_core_decomposition`] — Definitions 8–9:
@@ -22,7 +25,7 @@ pub use self::core::{
     colorful_core_decomposition, colorful_h_index, colorful_k_core_mask, colorful_k_core_vertices,
     ColorfulCoreDecomposition,
 };
-pub use self::degrees::{colorful_degrees, ColorfulDegrees, NeighborColorCounts};
+pub use self::degrees::{colorful_degrees, ColorCountSlab, ColorfulDegrees, NeighborColorCounts};
 pub use self::enhanced::{
     enhanced_colorful_degree_from_groups, enhanced_colorful_degrees, enhanced_colorful_k_core_mask,
     enhanced_colorful_k_core_vertices, ColorGroups,

@@ -3,7 +3,7 @@
 //! [`AttributedGraph`] stores an undirected, unweighted, simple graph in compressed
 //! sparse row form together with one binary [`Attribute`] per vertex. Neighbor lists are
 //! sorted, which makes adjacency tests (`has_edge`) `O(log d)` and common-neighbor
-//! enumeration a linear merge — the pattern the colorful-support reductions rely on.
+//! enumeration a linear merge.
 //!
 //! Every undirected edge additionally carries a stable [`EdgeId`] in `0..m`, exposed in
 //! the adjacency lists, so that peeling algorithms (truss-style edge removal in
@@ -40,7 +40,16 @@ impl AttributedGraph {
     ///
     /// `edges` must be canonical (`u < v`), sorted, and free of duplicates/self-loops;
     /// `attributes.len()` is the vertex count.
+    ///
+    /// Filling the CSR in edge-list order leaves every adjacency slice sorted with no
+    /// sort pass: vertex `x` first receives its smaller neighbors `u` from the edges
+    /// `(u, x)`, in increasing `u`, and then its larger neighbors `v` from the edges
+    /// `(x, v)`, which all follow in the sorted list, in increasing `v`.
     pub(crate) fn from_parts(attributes: Vec<Attribute>, edges: Vec<(VertexId, VertexId)>) -> Self {
+        debug_assert!(
+            edges.iter().all(|&(u, v)| u < v) && edges.windows(2).all(|w| w[0] < w[1]),
+            "edge list must be canonical, sorted and duplicate-free"
+        );
         let n = attributes.len();
         let mut degrees = vec![0usize; n];
         for &(u, v) in &edges {
@@ -65,20 +74,6 @@ impl AttributedGraph {
             neighbors[cursor[v as usize]] = u;
             edge_ids[cursor[v as usize]] = eid;
             cursor[v as usize] += 1;
-        }
-        // Sort each adjacency slice by neighbor id, keeping edge ids aligned.
-        for v in 0..n {
-            let (lo, hi) = (offsets[v], offsets[v + 1]);
-            let mut pairs: Vec<(VertexId, EdgeId)> = neighbors[lo..hi]
-                .iter()
-                .copied()
-                .zip(edge_ids[lo..hi].iter().copied())
-                .collect();
-            pairs.sort_unstable();
-            for (i, (nbr, eid)) in pairs.into_iter().enumerate() {
-                neighbors[lo + i] = nbr;
-                edge_ids[lo + i] = eid;
-            }
         }
         Self {
             offsets,
@@ -229,29 +224,6 @@ impl AttributedGraph {
         out
     }
 
-    /// Calls `f(w, edge_id(u,w), edge_id(v,w))` for every common neighbor `w` of `u`
-    /// and `v`. Used by the truss-style peeling reductions, which need the incident edge
-    /// ids of both wings of each triangle.
-    pub fn for_each_common_neighbor<F>(&self, u: VertexId, v: VertexId, mut f: F)
-    where
-        F: FnMut(VertexId, EdgeId, EdgeId),
-    {
-        let (mut i, mut j) = (0usize, 0usize);
-        let (nu, nv) = (self.neighbors(u), self.neighbors(v));
-        let (eu, ev) = (self.neighbor_edge_ids(u), self.neighbor_edge_ids(v));
-        while i < nu.len() && j < nv.len() {
-            match nu[i].cmp(&nv[j]) {
-                std::cmp::Ordering::Less => i += 1,
-                std::cmp::Ordering::Greater => j += 1,
-                std::cmp::Ordering::Equal => {
-                    f(nu[i], eu[i], ev[j]);
-                    i += 1;
-                    j += 1;
-                }
-            }
-        }
-    }
-
     /// Whether the given vertex set induces a clique (every pair adjacent).
     pub fn is_clique(&self, vertices: &[VertexId]) -> bool {
         for (i, &u) in vertices.iter().enumerate() {
@@ -400,11 +372,6 @@ mod tests {
         assert_eq!(g.common_neighbors(0, 3), vec![2]);
         assert_eq!(g.common_neighbors(1, 3), vec![2]);
         assert_eq!(g.common_neighbors(2, 3), Vec::<VertexId>::new());
-        let mut seen = Vec::new();
-        g.for_each_common_neighbor(0, 1, |w, e_uw, e_vw| {
-            seen.push((w, g.edge_endpoints(e_uw), g.edge_endpoints(e_vw)));
-        });
-        assert_eq!(seen, vec![(2, (0, 2), (1, 2))]);
     }
 
     #[test]

@@ -6,15 +6,31 @@
 //! swap cannot perturb other tests.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
 struct CountingAlloc;
 
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    // Per thread, so the test harness running the tests side by side cannot
+    // add one test's allocations to another's count. Const-initialised: the
+    // slot itself never allocates, so counting from inside `alloc` is safe.
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count_one() {
+    // `try_with`: allocations made while this thread's locals are being torn
+    // down are simply not counted.
+    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+}
+
+/// Allocations made so far by the calling thread.
+fn allocations() -> u64 {
+    ALLOCATIONS.with(Cell::get)
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_one();
         unsafe { System.alloc(layout) }
     }
 
@@ -23,7 +39,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_one();
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
@@ -39,14 +55,14 @@ fn disabled_spans_do_not_allocate() {
         s.counter("w", 1);
     }
 
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let before = allocations();
     for _ in 0..10_000 {
         let mut s = rfc_obs::trace::span("hot");
         s.counter("work", 1);
         s.counter("more", 2);
         drop(s);
     }
-    let after = ALLOCATIONS.load(Ordering::Relaxed);
+    let after = allocations();
 
     assert_eq!(
         after - before,
@@ -63,12 +79,12 @@ fn disabled_metrics_handles_do_not_allocate_on_record() {
     let counter = rfc_obs::metrics::global().counter("overhead_test_total");
     let histogram = rfc_obs::metrics::global().histogram("overhead_test_us");
 
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let before = allocations();
     for i in 0..10_000u64 {
         counter.inc();
         histogram.observe(i % 512);
     }
-    let after = ALLOCATIONS.load(Ordering::Relaxed);
+    let after = allocations();
 
     assert_eq!(
         after - before,

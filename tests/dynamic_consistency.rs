@@ -464,3 +464,31 @@ fn reinserting_a_deleted_vertex_id_tracks_scratch() {
         "victim restored with flipped attribute",
     );
 }
+
+#[test]
+fn budget_stopped_search_with_a_zero_bound_certifies_infeasible_on_both_solvers() {
+    // An all-`a` K6 passes the color-count gate for k = 3 (six colors, 2k = 6) but
+    // holds no fair clique, so its colorful bound is 0. With the reductions and the
+    // heuristic off the search still opens a node, and a zero node budget stops it
+    // there. A best of 0 that meets a proven bound of 0 is an answer, not a
+    // budget stop: both solvers must report `Infeasible`.
+    let graph = fixtures::two_cliques_with_bridge(0, 6);
+    let model = FairnessModel::Relative { k: 3, delta: 1 };
+    let mut config = SearchConfig::basic().with_threads(ThreadCount::Serial);
+    config.reductions = ReductionConfig::none();
+    let query = Query::new(model)
+        .with_config(config)
+        .with_budget(Budget::unlimited().with_node_limit(0));
+
+    let static_solution = RfcSolver::new(graph.clone()).solve(&query).unwrap();
+    let dynamic_solution = DynamicRfcSolver::new(graph).solve(&query).unwrap();
+    for (solver, solution) in [("static", &static_solution), ("dynamic", &dynamic_solution)] {
+        assert!(solution.cliques.is_empty(), "{solver}: found a clique");
+        assert_eq!(solution.upper_bound, Some(0), "{solver}: bound");
+        assert_eq!(
+            solution.termination,
+            Termination::Infeasible,
+            "{solver}: a proven bound of 0 must certify infeasibility"
+        );
+    }
+}
