@@ -842,7 +842,6 @@ pub fn run(command: Command) -> Result<(), String> {
         Command::Serve {
             host,
             port,
-            workers,
             max_active,
             max_queue,
             cache_cap,
@@ -855,19 +854,9 @@ pub fn run(command: Command) -> Result<(), String> {
                         .map_err(|_| format!("`--time-limit {secs}` is out of range"))?,
                 ),
             };
-            // Workers run this same binary's `worker` subcommand over pipes.
-            let exe = std::env::current_exe()
-                .map_err(|e| format!("cannot locate the maxfairclique binary: {e}"))?;
-            let mut worker_cmd = vec![exe.to_string_lossy().into_owned(), "worker".to_string()];
-            if let Some(cap) = cache_cap {
-                worker_cmd.push("--cache-cap".to_string());
-                worker_cmd.push(cap.to_string());
-            }
             let server = Server::bind(ServeConfig {
                 host,
                 port,
-                workers,
-                worker_cmd,
                 max_active,
                 max_queue,
                 engine: EngineConfig {
@@ -884,15 +873,6 @@ pub fn run(command: Command) -> Result<(), String> {
             server.run().map_err(|e| format!("daemon failed: {e}"))
         }
         Command::Client { connect, action } => run_client(&mut out, &connect, action),
-        Command::Worker { cache_cap } => {
-            match rfc_serve::worker::run_worker(EngineConfig {
-                cache_capacity: cache_cap,
-                default_time_limit: None,
-            }) {
-                0 => Ok(()),
-                _ => Err("worker terminated on an I/O failure".to_string()),
-            }
-        }
     }
 }
 
@@ -923,7 +903,6 @@ fn client_request_line(action: ClientAction) -> Result<String, String> {
                 threads: None,
                 portfolio: None,
                 anytime: false,
-                shard: None,
             },
         }
         .to_line(),
@@ -945,7 +924,6 @@ fn client_request_line(action: ClientAction) -> Result<String, String> {
                 time_limit_ms: secs_to_ms(time_limit),
                 node_limit,
                 threads: None,
-                shard: None,
             },
         }
         .to_line(),
@@ -1214,55 +1192,6 @@ mod tests {
         std::fs::remove_file(&rfcg_path).ok();
         std::fs::remove_file(&text_path).ok();
         std::fs::remove_file(&rfcg2_path).ok();
-    }
-
-    #[test]
-    fn solve_with_trace_writes_balanced_jsonl() {
-        let graph_path = temp_path("trace_base.graph");
-        let trace_path = temp_path("trace_out.jsonl");
-        let graph_arg = graph_path.to_string_lossy().to_string();
-        let trace_arg = trace_path.to_string_lossy().to_string();
-        run(parse(&argv(&format!(
-            "generate --case-study nba --output {graph_arg}"
-        )))
-        .unwrap())
-        .unwrap();
-        run(parse(&argv(&format!(
-            "solve --graph {graph_arg} -k 5 -d 3 --threads 1 --trace {trace_arg}"
-        )))
-        .unwrap())
-        .unwrap();
-
-        // Every line parses, opens balance closes, and the root solve span is there.
-        let text = std::fs::read_to_string(&trace_path).unwrap();
-        let (mut opens, mut closes, mut saw_solve) = (0u64, 0u64, false);
-        for line in text.lines() {
-            let v = JsonValue::parse(line).expect("trace line parses");
-            match v.get("ev").and_then(JsonValue::as_str) {
-                Some("open") => opens += 1,
-                Some("close") => {
-                    closes += 1;
-                    if v.get("name").and_then(JsonValue::as_str) == Some("solve") {
-                        saw_solve = true;
-                        assert!(v.get("dur_us").is_some());
-                    }
-                }
-                other => panic!("unexpected trace event {other:?}"),
-            }
-        }
-        assert!(opens > 0, "trace is empty");
-        assert_eq!(opens, closes, "unbalanced spans");
-        assert!(saw_solve, "no solve span in the trace");
-
-        // An unwritable trace path is a clean error, not a panic.
-        assert!(run(parse(&argv(&format!(
-            "solve --graph {graph_arg} -k 5 -d 3 --trace /definitely/missing/dir/t.jsonl"
-        )))
-        .unwrap())
-        .is_err());
-
-        std::fs::remove_file(&graph_path).ok();
-        std::fs::remove_file(&trace_path).ok();
     }
 
     #[test]

@@ -64,7 +64,7 @@
 //! across churn rates (`BENCH_dynamic.json`).
 //!
 //! Unlike [`RfcSolver`](crate::solver::RfcSolver), the dynamic solver takes `&mut self` on queries (its caches
-//! are plain maps, not lock-protected): shard one solver per thread, or wrap it in a
+//! are plain maps, not lock-protected): give each thread its own solver, or wrap it in a
 //! mutex, for concurrent serving (the `rfc-serve` daemon does the latter — the type
 //! is `Send`, so a `Mutex<DynamicRfcSolver>` is shareable across connection threads,
 //! and the per-component result caches then act as a cross-client query cache).
@@ -75,11 +75,10 @@
 //!   puts an LRU bound on the per-component result caches (unbounded by default),
 //!   and [`cache_stats`](DynamicRfcSolver::cache_stats) reports hit/miss/eviction
 //!   counters for a daemon `stats` endpoint.
-//! * **Component sharding** — [`solve_shard`](DynamicRfcSolver::solve_shard) /
-//!   [`enumerate_shard`](DynamicRfcSolver::enumerate_shard) restrict a query to the
-//!   components a [`Shard`] owns (`component_index % shard.count() == shard.index()`),
-//!   so N worker processes holding replicas of the same committed graph partition the
-//!   work deterministically and a parent can merge their per-shard answers.
+//! * **Rebuild after a failure** — [`rebuilt`](DynamicRfcSolver::rebuilt) returns a
+//!   fresh solver over the same committed state (graph, tombstones, cache bound)
+//!   without any cache or uncommitted op. A daemon swaps it in for a solver whose
+//!   lock a panicking request poisoned, so a half-updated cache is never served.
 
 use std::collections::{BTreeSet, HashMap};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -103,7 +102,9 @@ use crate::reduction::{apply_reductions_controlled, ReductionConfig};
 use crate::search::control::{SearchControl, StopReason};
 use crate::search::parallel::SharedIncumbent;
 use crate::search::{branch_and_bound, SearchConfig, SearchStats, ThreadCount};
-use crate::solver::{Objective, Query, ReducedEntry, Solution, SolveError, Termination};
+use crate::solver::{
+    certify, colorful_upper_bound, Query, ReducedEntry, Solution, SolveError, Termination,
+};
 
 /// What one [`DynamicRfcSolver::commit`] did.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -122,53 +123,6 @@ pub struct CommitOutcome {
     pub num_vertices: usize,
     /// Edges of the committed graph.
     pub num_edges: usize,
-}
-
-/// One shard of a component-partitioned query: of the reduced graph's component
-/// list, a [`Shard`] owns the components whose index `i` satisfies
-/// `i % count == index`. Replica workers that committed the same update stream build
-/// identical component lists, so the partition is deterministic across processes;
-/// components are independent subproblems, so the global answer is the merge of the
-/// per-shard answers (largest clique wins for `solve`, stream concatenation for
-/// `enumerate`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct Shard {
-    index: usize,
-    count: usize,
-}
-
-impl Shard {
-    /// Shard `index` of `count` total. Returns `None` unless
-    /// `index < count` and `count >= 1`.
-    pub fn new(index: usize, count: usize) -> Option<Shard> {
-        (count >= 1 && index < count).then_some(Shard { index, count })
-    }
-
-    /// The trivial shard owning every component.
-    pub fn full() -> Shard {
-        Shard { index: 0, count: 1 }
-    }
-
-    /// This shard's index in `0..count`.
-    pub fn index(&self) -> usize {
-        self.index
-    }
-
-    /// Total number of shards in the partition.
-    pub fn count(&self) -> usize {
-        self.count
-    }
-
-    /// Whether this shard owns component `i`.
-    pub fn owns(&self, i: usize) -> bool {
-        i % self.count == self.index
-    }
-}
-
-impl Default for Shard {
-    fn default() -> Self {
-        Shard::full()
-    }
 }
 
 /// Aggregated per-component result-cache counters across every
@@ -325,6 +279,25 @@ impl DynamicRfcSolver {
         for entry in self.entries.values_mut() {
             entry.solve_cache.set_capacity(capacity);
             entry.enum_cache.set_capacity(capacity);
+        }
+    }
+
+    /// A fresh solver over this one's committed state: the committed graph, the
+    /// tombstones of removed vertices, the cache bound and the commit count carry
+    /// over; cached reductions, per-component results and uncommitted ops do not.
+    /// The rebuilt solver answers every query as a fresh solver over the
+    /// committed graph would.
+    pub fn rebuilt(&self) -> DynamicRfcSolver {
+        DynamicRfcSolver {
+            graph: self.graph.clone(),
+            num_colors: self.num_colors,
+            delta: GraphDelta::with_tombstones(self.removed_vertices.clone()),
+            pending_ops: 0,
+            removed_vertices: self.removed_vertices.clone(),
+            entries: HashMap::new(),
+            cache_capacity: self.cache_capacity,
+            commits: self.commits,
+            preprocessing_runs: 0,
         }
     }
 
@@ -524,33 +497,17 @@ impl DynamicRfcSolver {
     /// is exact and no budgeted work ran. Components whose search was cut short are
     /// never cached.
     pub fn solve(&mut self, query: &Query) -> Result<Solution, SolveError> {
-        self.solve_shard(query, Shard::full())
-    }
-
-    /// Like [`solve`](Self::solve), but restricted to the components `shard` owns.
-    ///
-    /// [`Termination::Infeasible`] then means "no fair clique *in this shard's
-    /// components*" — the parent merging per-shard answers downgrades it to a global
-    /// verdict only when every shard is infeasible. Per-component cache hits and
-    /// inserts touch owned components only.
-    pub fn solve_shard(&mut self, query: &Query, shard: Shard) -> Result<Solution, SolveError> {
         let start = Instant::now();
         let params = self.resolve(query.fairness)?;
-        let capacity = match query.objective {
-            Objective::Maximum => 1,
-            Objective::TopK(0) => return Err(SolveError::EmptyTopK),
-            Objective::TopK(n) => n,
-        };
+        let capacity = query.objective.pool_capacity()?;
         let mut stats = SearchStats::default();
         if params.min_size() > self.num_colors {
-            stats.elapsed_micros = start.elapsed().as_micros() as u64;
-            return Ok(Solution {
-                cliques: Vec::new(),
-                termination: Termination::Infeasible,
+            return Ok(Solution::empty(
+                Termination::Infeasible,
+                Some(0),
                 stats,
-                reduction_cache_hit: false,
-                upper_bound: Some(0),
-            });
+                start,
+            ));
         }
 
         // Anchored before any fresh reduction work so `Budget.time_limit` covers the
@@ -560,14 +517,12 @@ impl DynamicRfcSolver {
         let key = (params.k, query.config.reductions);
         let Some(hit) = self.ensure_entry_controlled(&key, Some(&ctrl), query.config.threads)
         else {
-            stats.elapsed_micros = start.elapsed().as_micros() as u64;
-            return Ok(Solution {
-                cliques: Vec::new(),
-                termination: crate::solver::stopped_termination(&ctrl),
+            return Ok(Solution::empty(
+                crate::solver::stopped_termination(&ctrl),
+                None,
                 stats,
-                reduction_cache_hit: false,
-                upper_bound: None,
-            });
+                start,
+            ));
         };
         let (reduced, components) = self.entry_snapshot(&key);
         stats.reduction = reduced.stats.clone();
@@ -579,14 +534,12 @@ impl DynamicRfcSolver {
             let entry = self.entries.get_mut(&key).expect("entry was just ensured");
             let before = entry.solve_cache.stats();
             for (i, c) in components.iter().enumerate() {
-                if shard.owns(i) {
-                    per_comp[i] = entry.solve_cache.get(&cache_key(&c.canon)).cloned();
-                }
+                per_comp[i] = entry.solve_cache.get(&cache_key(&c.canon)).cloned();
             }
             before
         };
         let misses: Vec<usize> = (0..components.len())
-            .filter(|&i| shard.owns(i) && per_comp[i].is_none())
+            .filter(|&i| per_comp[i].is_none())
             .collect();
 
         let results = run_misses(
@@ -644,30 +597,11 @@ impl DynamicRfcSolver {
             })
             .collect();
 
-        let mut termination = match ctrl.stop_reason() {
-            Some(StopReason::Budget) => Termination::BudgetExhausted,
-            Some(StopReason::Cancelled) => Termination::Cancelled,
-            None if cliques.is_empty() => Termination::Infeasible,
-            None => Termination::Optimal,
-        };
         let best_size = cliques.first().map(FairClique::size).unwrap_or(0);
-        let upper_bound = if termination.is_complete() {
-            Some(best_size)
-        } else {
-            // Global colorful bound over the reduced graph — sound (if loose) for any
-            // shard, and enough to certify an incumbent that meets it.
-            let ub = crate::solver::colorful_upper_bound(&reduced.graph, params).max(best_size);
-            // Same certification rule as the static solver: a proven bound of 0
-            // with nothing found is a proof of infeasibility.
-            if query.objective == Objective::Maximum && ub == best_size {
-                termination = if best_size > 0 {
-                    Termination::Optimal
-                } else {
-                    Termination::Infeasible
-                };
-            }
-            Some(ub)
-        };
+        let (termination, upper_bound) =
+            certify(query.objective, ctrl.stop_reason(), best_size, || {
+                Some(colorful_upper_bound(&reduced.graph, params))
+            });
         stats.elapsed_micros = start.elapsed().as_micros() as u64;
         crate::solver::flush_search_metrics(&stats);
         Ok(Solution {
@@ -692,19 +626,6 @@ impl DynamicRfcSolver {
         query: &EnumQuery,
         sink: &mut dyn CliqueSink,
     ) -> Result<EnumOutcome, SolveError> {
-        self.enumerate_shard(query, Shard::full(), sink)
-    }
-
-    /// Like [`enumerate`](Self::enumerate), but restricted to the components `shard`
-    /// owns: the shard emits exactly the maximal fair cliques living in its
-    /// components, so concatenating the streams of a full partition yields the
-    /// global enumeration (cliques never span components).
-    pub fn enumerate_shard(
-        &mut self,
-        query: &EnumQuery,
-        shard: Shard,
-        sink: &mut dyn CliqueSink,
-    ) -> Result<EnumOutcome, SolveError> {
         let start = Instant::now();
         let params = self.resolve(query.fairness)?;
         let min_size = params.min_size().max(query.min_size);
@@ -719,7 +640,7 @@ impl DynamicRfcSolver {
             });
         }
 
-        // Same anchoring as `solve_shard`: the clock starts before fresh reduction
+        // Same anchoring as `solve`: the clock starts before fresh reduction
         // work, while cache-served entries stay budget-exempt.
         let ctrl = SearchControl::new(&query.budget, query.cancel.clone());
         let key = (params.k, query.reductions);
@@ -738,10 +659,8 @@ impl DynamicRfcSolver {
         let (reduced, components) = self.entry_snapshot(&key);
         stats.reduction = reduced.stats.clone();
 
-        // Sharding partitions the raw component index space (stable across shards);
-        // the eligibility filter then applies within the owned set.
         let eligible: Vec<usize> = (0..components.len())
-            .filter(|&i| shard.owns(i) && components[i].vertices.len() >= min_size)
+            .filter(|&i| components[i].vertices.len() >= min_size)
             .collect();
         let cache_key =
             |canon: &Arc<CanonicalComponent>| (query.fairness, min_size, Arc::clone(canon));
@@ -1167,7 +1086,7 @@ fn enumerate_component(
 mod tests {
     use super::*;
     use crate::enumerate::CollectSink;
-    use crate::solver::{Budget, CancelToken, RfcSolver};
+    use crate::solver::{Budget, CancelToken, Objective, RfcSolver};
     use crate::verify;
     use rfc_graph::fixtures;
 
@@ -1526,74 +1445,28 @@ mod tests {
     }
 
     #[test]
-    fn shard_construction_and_ownership() {
-        assert!(Shard::new(0, 0).is_none());
-        assert!(Shard::new(2, 2).is_none());
-        let s = Shard::new(1, 3).unwrap();
-        assert_eq!((s.index(), s.count()), (1, 3));
-        let owned: Vec<usize> = (0..9).filter(|&i| s.owns(i)).collect();
-        assert_eq!(owned, vec![1, 4, 7]);
-        assert!(Shard::full().owns(5));
-        assert_eq!(Shard::default(), Shard::full());
-        // Every component index is owned by exactly one shard of a partition.
-        for i in 0..20 {
-            let owners = (0..4)
-                .filter(|&s| Shard::new(s, 4).unwrap().owns(i))
-                .count();
-            assert_eq!(owners, 1);
-        }
-    }
-
-    #[test]
-    fn sharded_solves_merge_to_the_global_answer() {
+    fn rebuilt_keeps_committed_state_and_drops_the_rest() {
         let model = FairnessModel::Relative { k: 2, delta: 1 };
-        let query = serial_query(model);
-        let global = DynamicRfcSolver::new(two_balanced_cliques())
-            .solve(&query)
-            .unwrap();
-        assert_eq!(global.best().unwrap().size(), 8);
+        let mut solver = DynamicRfcSolver::new(two_balanced_cliques()).with_cache_capacity(Some(4));
+        solver.remove_vertex(0).unwrap();
+        solver.commit();
+        let before = solver.solve(&serial_query(model)).unwrap();
+        solver.remove_edge(6, 7).unwrap();
 
-        // Two replica solvers, one shard each: exactly one sees each component,
-        // and the best across shards is the global best.
-        let mut best_sizes = Vec::new();
-        let mut total_components = 0;
-        for index in 0..2 {
-            let mut replica = DynamicRfcSolver::new(two_balanced_cliques());
-            let shard = Shard::new(index, 2).unwrap();
-            let solution = replica.solve_shard(&query, shard).unwrap();
-            total_components += solution.stats.components_searched;
-            if let Some(best) = solution.best() {
-                assert!(verify::is_fair_clique_under(
-                    replica.graph(),
-                    &best.vertices,
-                    model
-                ));
-                best_sizes.push(best.size());
-            }
-        }
-        assert_eq!(total_components, 2, "shards partition the components");
-        assert_eq!(best_sizes.iter().max(), Some(&8));
-
-        // Sharded enumeration concatenates to the global stream.
-        let mut merged: Vec<Vec<VertexId>> = Vec::new();
-        for index in 0..3 {
-            let mut replica = DynamicRfcSolver::new(two_balanced_cliques());
-            let shard = Shard::new(index, 3).unwrap();
-            let mut sink = CollectSink::new();
-            replica
-                .enumerate_shard(
-                    &EnumQuery::new(model).with_threads(ThreadCount::Serial),
-                    shard,
-                    &mut sink,
-                )
-                .unwrap();
-            merged.extend(sink.into_cliques().into_iter().map(|c| c.vertices));
-        }
-        merged.sort();
+        let mut fresh = solver.rebuilt();
+        assert_eq!(fresh.graph().edge_list(), solver.graph().edge_list());
+        assert_eq!(fresh.commits(), solver.commits());
+        assert_eq!(fresh.cache_capacity(), Some(4));
+        assert_eq!(fresh.pending_ops(), 0, "uncommitted ops are dropped");
+        assert_eq!(fresh.cache_stats(), DynCacheStats::default());
+        // The tombstone survives: vertex 0 stays removed until restored.
         assert_eq!(
-            merged,
-            enumerate_sets_scratch(&two_balanced_cliques(), model)
+            fresh.insert_edge(0, 1),
+            Err(DeltaError::VertexRemoved { vertex: 0 })
         );
+        let after = fresh.solve(&serial_query(model)).unwrap();
+        assert!(!after.reduction_cache_hit, "cached reductions are dropped");
+        assert_eq!(after.cliques, before.cliques);
     }
 
     #[test]

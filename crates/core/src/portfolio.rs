@@ -59,11 +59,11 @@ use crate::bounds::{BoundConfig, ExtraBound};
 use crate::heuristic::heur_rfc;
 use crate::problem::{FairClique, FairCliqueParams, FairnessModel};
 use crate::reduction::ReductionConfig;
-use crate::search::control::SearchControl;
+use crate::search::control::{SearchControl, StopReason};
 use crate::search::parallel::SharedIncumbent;
 use crate::search::{branch_and_bound, BranchOrder, SearchConfig, SearchStats, ThreadCount};
 use crate::solver::{
-    colorful_upper_bound, flush_search_metrics, stopped_termination, CancelToken, Objective, Query,
+    certify, colorful_upper_bound, flush_search_metrics, stopped_termination, CancelToken, Query,
     ReducedEntry, RfcSolver, Solution, SolveError, Termination,
 };
 
@@ -174,29 +174,18 @@ fn solve_portfolio(
         .fairness
         .resolve(solver.graph().num_vertices())
         .map_err(SolveError::InvalidParams)?;
-    let capacity = match query.objective {
-        Objective::Maximum => 1,
-        Objective::TopK(0) => return Err(SolveError::EmptyTopK),
-        Objective::TopK(n) => n,
-    };
+    let capacity = query.objective.pool_capacity()?;
     let members = portfolio.members.max(1);
-
-    let empty_solution = |termination, upper_bound, stats: SearchStats| Solution {
-        cliques: Vec::new(),
-        termination,
-        stats,
-        reduction_cache_hit: false,
-        upper_bound,
-    };
 
     // Same O(1) infeasibility gate as the plain solve.
     if params.min_size() > solver.num_colors() {
-        let stats = SearchStats {
-            elapsed_micros: start.elapsed().as_micros() as u64,
-            ..SearchStats::default()
-        };
         return Ok(PortfolioOutcome {
-            solution: empty_solution(Termination::Infeasible, Some(0), stats),
+            solution: Solution::empty(
+                Termination::Infeasible,
+                Some(0),
+                SearchStats::default(),
+                start,
+            ),
             members: Vec::new(),
         });
     }
@@ -215,12 +204,13 @@ fn solve_portfolio(
         .collect();
     let entry_ctrl = SearchControl::new(&query.budget, Some(root.clone()));
     if entry_ctrl.check_now() {
-        let stats = SearchStats {
-            elapsed_micros: start.elapsed().as_micros() as u64,
-            ..SearchStats::default()
-        };
         return Ok(PortfolioOutcome {
-            solution: empty_solution(stopped_termination(&entry_ctrl), None, stats),
+            solution: Solution::empty(
+                stopped_termination(&entry_ctrl),
+                None,
+                SearchStats::default(),
+                start,
+            ),
             members: Vec::new(),
         });
     }
@@ -357,38 +347,22 @@ fn solve_portfolio(
         .map(|vertices| FairClique::from_vertices(solver.graph(), vertices))
         .collect();
     let best_size = cliques.first().map(FairClique::size).unwrap_or(0);
-    let mut termination = if won != usize::MAX {
-        if cliques.is_empty() {
-            Termination::Infeasible
-        } else {
-            Termination::Optimal
-        }
-    } else if query.cancel.as_ref().is_some_and(CancelToken::is_cancelled) {
-        Termination::Cancelled
-    } else {
-        Termination::BudgetExhausted
-    };
-    let upper_bound = if termination.is_complete() {
-        Some(best_size)
-    } else if entries.is_empty() {
-        // Every member was stopped before finishing a reduction: no sound bound.
+    // A member's finished proof completes the race; otherwise the caller's token
+    // tells a cancel from a spent budget.
+    let stop = if won != usize::MAX {
         None
+    } else if query.cancel.as_ref().is_some_and(CancelToken::is_cancelled) {
+        Some(StopReason::Cancelled)
     } else {
-        let ub = entries
+        Some(StopReason::Budget)
+    };
+    // With no member past its reduction there is no sound bound (`min` of nothing).
+    let (termination, upper_bound) = certify(query.objective, stop, best_size, || {
+        entries
             .iter()
             .map(|e| colorful_upper_bound(&e.graph, params))
             .min()
-            .unwrap_or(0)
-            .max(best_size);
-        if query.objective == Objective::Maximum && ub == best_size {
-            termination = if best_size > 0 {
-                Termination::Optimal
-            } else {
-                Termination::Infeasible
-            };
-        }
-        Some(ub)
-    };
+    });
     stats.elapsed_micros = start.elapsed().as_micros() as u64;
 
     span.counter("members", reports.len() as u64);
@@ -769,7 +743,7 @@ impl SplitMix64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::solver::Budget;
+    use crate::solver::{Budget, Objective};
     use crate::verify;
     use rfc_graph::fixtures;
 

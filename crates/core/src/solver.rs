@@ -16,9 +16,11 @@
 //! * **Structured outcomes** — every solve returns a [`Solution`] whose
 //!   [`Termination`] says what the result means: `Optimal` and `Infeasible` are exact
 //!   answers, `BudgetExhausted` and `Cancelled` carry the verified best-so-far.
-//! * **Batching** — [`RfcSolver::solve_batch`] fans independent queries across worker
-//!   threads (the same [`ThreadCount`] infrastructure the component search uses) while
-//!   all of them share the solver's cached preprocessing.
+//! * **Shared certification** — every solve front-end (this solver,
+//!   [`DynamicRfcSolver`](crate::dynamic::DynamicRfcSolver) and the racing
+//!   [`portfolio`](crate::portfolio)) sizes its incumbent pool, classifies its
+//!   termination and certifies its upper bound through the same crate-internal
+//!   helpers, so the three agree on what a budget-stopped answer means.
 //!
 //! The classic free functions ([`max_fair_clique`](crate::search::max_fair_clique) and
 //! friends) remain as thin compatibility wrappers over a throwaway solver.
@@ -72,6 +74,18 @@ pub enum Objective {
     /// vertex set — so the returned set is identical for every
     /// [`ThreadCount`], not merely the same sizes.
     TopK(usize),
+}
+
+impl Objective {
+    /// Capacity of the incumbent pool that answers this objective: 1 for the
+    /// maximum, `n` for the top `n`. An empty top-k asks for nothing and is an error.
+    pub(crate) fn pool_capacity(self) -> Result<usize, SolveError> {
+        match self {
+            Objective::Maximum => Ok(1),
+            Objective::TopK(0) => Err(SolveError::EmptyTopK),
+            Objective::TopK(n) => Ok(n),
+        }
+    }
 }
 
 /// Resource limits for one query.
@@ -269,6 +283,25 @@ pub struct Solution {
 }
 
 impl Solution {
+    /// An answer without cliques, stamped with the time since `start`: the coloring
+    /// gate's `Infeasible` (bound `Some(0)`), or a query stopped before its search
+    /// (no sound bound yet).
+    pub(crate) fn empty(
+        termination: Termination,
+        upper_bound: Option<usize>,
+        mut stats: SearchStats,
+        start: Instant,
+    ) -> Solution {
+        stats.elapsed_micros = start.elapsed().as_micros() as u64;
+        Solution {
+            cliques: Vec::new(),
+            termination,
+            stats,
+            reduction_cache_hit: false,
+            upper_bound,
+        }
+    }
+
     /// The largest fair clique found, if any.
     pub fn best(&self) -> Option<&FairClique> {
         self.cliques.first()
@@ -480,7 +513,111 @@ impl RfcSolver {
     /// budget exhaustion and cancellation are expressed through [`Termination`], not
     /// through `Err`.
     pub fn solve(&self, query: &Query) -> Result<Solution, SolveError> {
-        self.solve_with_threads(query, query.config.threads)
+        let start = Instant::now();
+        let mut solve_span = rfc_obs::trace::span("solve");
+        let params = self.resolve(query.fairness)?;
+        let capacity = query.objective.pool_capacity()?;
+        let mut stats = SearchStats::default();
+
+        // O(1) infeasibility gate from the build-time coloring: every clique uses
+        // pairwise-distinct colors, so no clique — fair or not — can exceed the color
+        // count, and a fair clique needs at least 2k vertices.
+        if params.min_size() > self.num_colors {
+            return Ok(Solution::empty(
+                Termination::Infeasible,
+                Some(0),
+                stats,
+                start,
+            ));
+        }
+
+        // The budget clock is anchored *here*, before reduction and the heuristic, so
+        // `Budget.time_limit` covers the whole query (see the `Budget` docs).
+        let ctrl = SearchControl::new(&query.budget, query.cancel.clone());
+        if ctrl.check_now() {
+            return Ok(Solution::empty(
+                stopped_termination(&ctrl),
+                None,
+                stats,
+                start,
+            ));
+        }
+
+        // Phase 1: reduced graph, shared across queries with the same (k, reductions).
+        // A budget/cancel trip mid-pipeline aborts without caching the partial result.
+        let (reduced, reduction_cache_hit) = {
+            let mut span = rfc_obs::trace::span("reduce");
+            match self.reduced_controlled(
+                params.k,
+                &query.config.reductions,
+                Some(&ctrl),
+                query.config.threads,
+            ) {
+                Ok((reduced, hit)) => {
+                    span.counter("cache_hit", hit as u64);
+                    span.counter("vertices", reduced.stats.final_vertices() as u64);
+                    span.counter("edges", reduced.stats.final_edges() as u64);
+                    (reduced, hit)
+                }
+                Err(partial) => {
+                    stats.reduction = partial;
+                    return Ok(Solution::empty(
+                        stopped_termination(&ctrl),
+                        None,
+                        stats,
+                        start,
+                    ));
+                }
+            }
+        };
+        stats.reduction = reduced.stats.clone();
+
+        // Phase 2: heuristic warm start on the reduced graph; its clique seeds the
+        // shared pool so every component search starts with the warm bound. Skipped
+        // when the deadline already passed during reduction.
+        let mut warm_start = None;
+        if query.config.use_heuristic && !ctrl.check_now() {
+            let mut span = rfc_obs::trace::span("heuristic");
+            let outcome = heur_rfc(&reduced.graph, params, &query.config.heuristic);
+            stats.heuristic_size = outcome.best.as_ref().map(|c| c.size());
+            span.counter("size", stats.heuristic_size.unwrap_or(0) as u64);
+            warm_start = outcome.best.map(|c| c.vertices);
+        }
+
+        // Phase 3: budgeted, cancellable branch-and-bound.
+        let pool = SharedIncumbent::with_capacity(capacity, warm_start);
+        {
+            let mut span = rfc_obs::trace::span("search");
+            stats += &branch_and_bound(&reduced.graph, params, &query.config, &pool, &ctrl);
+            span.counter("branches", stats.branches);
+            span.counter("components", stats.components_searched as u64);
+            span.counter("bound_prunes", stats.bound_prunes);
+            span.counter("feasibility_prunes", stats.feasibility_prunes);
+            span.counter("incumbent_updates", stats.incumbent_updates);
+        }
+
+        let cliques: Vec<FairClique> = pool
+            .into_cliques()
+            .into_iter()
+            .map(|vertices| FairClique::from_vertices(&self.graph, vertices))
+            .collect();
+        let best_size = cliques.first().map(FairClique::size).unwrap_or(0);
+        let (termination, upper_bound) =
+            certify(query.objective, ctrl.stop_reason(), best_size, || {
+                Some(colorful_upper_bound(&reduced.graph, params))
+            });
+        stats.elapsed_micros = start.elapsed().as_micros() as u64;
+        solve_span.counter("branches", stats.branches);
+        solve_span.counter("cliques", cliques.len() as u64);
+        drop(solve_span);
+        flush_search_metrics(&stats);
+        Ok(Solution {
+            cliques,
+            termination,
+            stats,
+            reduction_cache_hit,
+            upper_bound,
+        })
     }
 
     /// Runs the linear-time `HeurRFC` heuristic for a query's fairness model on the
@@ -610,204 +747,11 @@ impl RfcSolver {
         })
     }
 
-    /// Answers many independent queries, fanning them across worker threads while all
-    /// of them share this solver's cached preprocessing.
-    ///
-    /// `threads` controls the *batch-level* fan-out; each query's own search is forced
-    /// to [`ThreadCount::Serial`] when the batch runs multi-threaded, so the machine
-    /// is never oversubscribed and every individual result is as deterministic as a
-    /// serial solve. With `threads` resolving to 1 the queries run sequentially with
-    /// their own `config.threads` untouched.
-    ///
-    /// Results come back in query order, one per query.
-    pub fn solve_batch(
-        &self,
-        queries: &[Query],
-        threads: ThreadCount,
-    ) -> Vec<Result<Solution, SolveError>> {
-        let workers = threads.resolve().min(queries.len());
-        if workers <= 1 {
-            return queries.iter().map(|q| self.solve(q)).collect();
-        }
-        let cursor = AtomicUsize::new(0);
-        let mut results: Vec<Option<Result<Solution, SolveError>>> = vec![None; queries.len()];
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..workers)
-                .map(|_| {
-                    let cursor = &cursor;
-                    scope.spawn(move || {
-                        let mut local = Vec::new();
-                        loop {
-                            let i = cursor.fetch_add(1, Ordering::Relaxed);
-                            let Some(query) = queries.get(i) else {
-                                break;
-                            };
-                            local.push((i, self.solve_with_threads(query, ThreadCount::Serial)));
-                        }
-                        local
-                    })
-                })
-                .collect();
-            for handle in handles {
-                for (i, result) in handle.join().expect("batch worker panicked") {
-                    results[i] = Some(result);
-                }
-            }
-        });
-        results
-            .into_iter()
-            .map(|r| r.expect("every query is dispatched exactly once"))
-            .collect()
-    }
-
     /// Validates and resolves a fairness model against this solver's graph.
     fn resolve(&self, fairness: FairnessModel) -> Result<FairCliqueParams, SolveError> {
         fairness
             .resolve(self.graph.num_vertices())
             .map_err(SolveError::InvalidParams)
-    }
-
-    /// The solve pipeline, with the search-phase thread count pinned by the caller
-    /// (batch workers force serial inner searches).
-    fn solve_with_threads(
-        &self,
-        query: &Query,
-        threads: ThreadCount,
-    ) -> Result<Solution, SolveError> {
-        let start = Instant::now();
-        let mut solve_span = rfc_obs::trace::span("solve");
-        let params = self.resolve(query.fairness)?;
-        let capacity = match query.objective {
-            Objective::Maximum => 1,
-            Objective::TopK(0) => return Err(SolveError::EmptyTopK),
-            Objective::TopK(n) => n,
-        };
-
-        let mut stats = SearchStats::default();
-
-        // O(1) infeasibility gate from the build-time coloring: every clique uses
-        // pairwise-distinct colors, so no clique — fair or not — can exceed the color
-        // count, and a fair clique needs at least 2k vertices.
-        if params.min_size() > self.num_colors {
-            stats.elapsed_micros = start.elapsed().as_micros() as u64;
-            return Ok(Solution {
-                cliques: Vec::new(),
-                termination: Termination::Infeasible,
-                stats,
-                reduction_cache_hit: false,
-                upper_bound: Some(0),
-            });
-        }
-
-        // The budget clock is anchored *here*, before reduction and the heuristic, so
-        // `Budget.time_limit` covers the whole query (see the `Budget` docs).
-        let ctrl = SearchControl::new(&query.budget, query.cancel.clone());
-        if ctrl.check_now() {
-            stats.elapsed_micros = start.elapsed().as_micros() as u64;
-            return Ok(Solution {
-                cliques: Vec::new(),
-                termination: stopped_termination(&ctrl),
-                stats,
-                reduction_cache_hit: false,
-                upper_bound: None,
-            });
-        }
-
-        // Phase 1: reduced graph, shared across queries with the same (k, reductions).
-        // A budget/cancel trip mid-pipeline aborts without caching the partial result.
-        let (reduced, reduction_cache_hit) = {
-            let mut span = rfc_obs::trace::span("reduce");
-            match self.reduced_controlled(params.k, &query.config.reductions, Some(&ctrl), threads)
-            {
-                Ok((reduced, hit)) => {
-                    span.counter("cache_hit", hit as u64);
-                    span.counter("vertices", reduced.stats.final_vertices() as u64);
-                    span.counter("edges", reduced.stats.final_edges() as u64);
-                    (reduced, hit)
-                }
-                Err(partial) => {
-                    stats.reduction = partial;
-                    stats.elapsed_micros = start.elapsed().as_micros() as u64;
-                    return Ok(Solution {
-                        cliques: Vec::new(),
-                        termination: stopped_termination(&ctrl),
-                        stats,
-                        reduction_cache_hit: false,
-                        upper_bound: None,
-                    });
-                }
-            }
-        };
-        stats.reduction = reduced.stats.clone();
-
-        // Phase 2: heuristic warm start on the reduced graph; its clique seeds the
-        // shared pool so every component search starts with the warm bound. Skipped
-        // when the deadline already passed during reduction.
-        let mut warm_start = None;
-        if query.config.use_heuristic && !ctrl.check_now() {
-            let mut span = rfc_obs::trace::span("heuristic");
-            let outcome = heur_rfc(&reduced.graph, params, &query.config.heuristic);
-            stats.heuristic_size = outcome.best.as_ref().map(|c| c.size());
-            span.counter("size", stats.heuristic_size.unwrap_or(0) as u64);
-            warm_start = outcome.best.map(|c| c.vertices);
-        }
-
-        // Phase 3: budgeted, cancellable branch-and-bound.
-        let pool = SharedIncumbent::with_capacity(capacity, warm_start);
-        let mut config = query.config.clone();
-        config.threads = threads;
-        {
-            let mut span = rfc_obs::trace::span("search");
-            stats += &branch_and_bound(&reduced.graph, params, &config, &pool, &ctrl);
-            span.counter("branches", stats.branches);
-            span.counter("components", stats.components_searched as u64);
-            span.counter("bound_prunes", stats.bound_prunes);
-            span.counter("feasibility_prunes", stats.feasibility_prunes);
-            span.counter("incumbent_updates", stats.incumbent_updates);
-        }
-
-        let cliques: Vec<FairClique> = pool
-            .into_cliques()
-            .into_iter()
-            .map(|vertices| FairClique::from_vertices(&self.graph, vertices))
-            .collect();
-        let mut termination = match ctrl.stop_reason() {
-            Some(StopReason::Budget) => Termination::BudgetExhausted,
-            Some(StopReason::Cancelled) => Termination::Cancelled,
-            None if cliques.is_empty() => Termination::Infeasible,
-            None => Termination::Optimal,
-        };
-        let best_size = cliques.first().map(FairClique::size).unwrap_or(0);
-        let upper_bound = if termination.is_complete() {
-            Some(best_size)
-        } else {
-            // The colorful bound never undercuts a verified clique; max() guards the
-            // invariant anyway so a reported gap can never go negative.
-            let ub = colorful_upper_bound(&reduced.graph, params).max(best_size);
-            // A best-so-far that meets the proven bound *is* the exact answer: certify
-            // it instead of reporting a hollow "budget exhausted" (single-maximum
-            // queries only — top-k completeness needs more than a size bound).
-            if query.objective == Objective::Maximum && ub == best_size {
-                termination = if best_size > 0 {
-                    Termination::Optimal
-                } else {
-                    Termination::Infeasible
-                };
-            }
-            Some(ub)
-        };
-        stats.elapsed_micros = start.elapsed().as_micros() as u64;
-        solve_span.counter("branches", stats.branches);
-        solve_span.counter("cliques", cliques.len() as u64);
-        drop(solve_span);
-        flush_search_metrics(&stats);
-        Ok(Solution {
-            cliques,
-            termination,
-            stats,
-            reduction_cache_hit,
-            upper_bound,
-        })
     }
 
     /// Fetches (or computes and caches) the reduced graph for `(k, config)`, honoring
@@ -858,6 +802,49 @@ pub(crate) fn stopped_termination(ctrl: &SearchControl) -> Termination {
         Some(StopReason::Cancelled) => Termination::Cancelled,
         _ => Termination::BudgetExhausted,
     }
+}
+
+/// The [`Termination`] and [`Solution::upper_bound`] of a query whose search has
+/// ended — the one classification every solve front-end shares.
+///
+/// `stop` says why the search stopped early (`None`: it ran to completion) and
+/// `best_size` is the size of the largest clique found (`0`: none). A completed
+/// search is exact: `Optimal`, or `Infeasible` when nothing was found, with the
+/// best size as its bound. A stopped search is certified against `bound`, which is
+/// evaluated only then and returns `None` when no sound bound was computed: a
+/// best-so-far that meets the bound is `Optimal`, and a zero bound with nothing
+/// found is `Infeasible` (single-maximum queries only — top-k completeness needs
+/// more than a size bound).
+pub(crate) fn certify(
+    objective: Objective,
+    stop: Option<StopReason>,
+    best_size: usize,
+    bound: impl FnOnce() -> Option<usize>,
+) -> (Termination, Option<usize>) {
+    let termination = match stop {
+        Some(StopReason::Budget) => Termination::BudgetExhausted,
+        Some(StopReason::Cancelled) => Termination::Cancelled,
+        None if best_size == 0 => Termination::Infeasible,
+        None => Termination::Optimal,
+    };
+    if termination.is_complete() {
+        return (termination, Some(best_size));
+    }
+    let Some(bound) = bound() else {
+        return (termination, None);
+    };
+    // The colorful bound never undercuts a verified clique; max() guards the
+    // invariant anyway so a reported gap can never go negative.
+    let ub = bound.max(best_size);
+    if objective == Objective::Maximum && ub == best_size {
+        let exact = if best_size > 0 {
+            Termination::Optimal
+        } else {
+            Termination::Infeasible
+        };
+        return (exact, Some(ub));
+    }
+    (termination, Some(ub))
 }
 
 /// A sound upper bound on the size of any fair clique of `g` under `params`, from a
@@ -1100,31 +1087,6 @@ mod tests {
                 &clique.vertices,
                 FairCliqueParams::new(3, 1).unwrap()
             ));
-        }
-    }
-
-    #[test]
-    fn batch_matches_individual_solves() {
-        let solver = RfcSolver::new(fixtures::fig1_graph());
-        let queries: Vec<Query> = vec![
-            Query::new(FairnessModel::Relative { k: 3, delta: 1 }),
-            Query::new(FairnessModel::Weak { k: 3 }),
-            Query::new(FairnessModel::Strong { k: 3 }),
-            Query::new(FairnessModel::Relative { k: 2, delta: 0 }),
-            Query::new(FairnessModel::Weak { k: 0 }), // invalid on purpose
-        ];
-        let individual: Vec<_> = queries
-            .iter()
-            .map(|q| solver.solve(q).map(|s| s.best().map(|c| c.size())))
-            .collect();
-        for threads in [ThreadCount::Serial, ThreadCount::Fixed(3)] {
-            let batch = solver.solve_batch(&queries, threads);
-            assert_eq!(batch.len(), queries.len());
-            let batch_sizes: Vec<_> = batch
-                .into_iter()
-                .map(|r| r.map(|s| s.best().map(|c| c.size())))
-                .collect();
-            assert_eq!(batch_sizes, individual, "threads {threads:?}");
         }
     }
 

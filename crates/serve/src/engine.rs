@@ -1,15 +1,20 @@
 //! The in-process engine: a registry of named graphs, each behind a
 //! `Mutex<DynamicRfcSolver>`, serving parsed [`Request`]s.
 //!
-//! This is the single implementation of request semantics — the TCP daemon uses it
-//! directly in in-process mode, each `maxfairclique worker` child wraps one over
-//! stdin/stdout, and the multi-process executor merges the answers of N of them.
+//! This is the single implementation of request semantics; the TCP daemon
+//! ([`Server`](crate::Server)) hands it every request line.
 //!
 //! Sharing model: one mutex per *graph*, so queries against different graphs run
 //! concurrently while queries against the same graph serialize — which is exactly
 //! what makes the [`DynamicRfcSolver`]'s per-component result caches a cross-client
 //! shared query cache (client A's solve warms client B's, and an `update` from one
 //! client invalidates precisely what every other client observes).
+//!
+//! A request that panics while it holds a graph's lock poisons that lock; the
+//! server answers it with a typed `internal` error. The slot is then replaced on
+//! its next use by one holding [`DynamicRfcSolver::rebuilt`] — the committed graph
+//! and its tombstones, without the caches or uncommitted ops the panic may have
+//! left half-written.
 
 use std::collections::HashMap;
 use std::io;
@@ -20,7 +25,7 @@ use std::time::Duration;
 use rfc_core::enumerate::LimitSink;
 use rfc_core::portfolio::PortfolioConfig;
 use rfc_core::solver::RfcSolver;
-use rfc_core::{CancelToken, CliqueSink, DynamicRfcSolver, FairClique, Shard, SinkFlow};
+use rfc_core::{CancelToken, CliqueSink, DynamicRfcSolver, FairClique, SinkFlow};
 use rfc_graph::io::read_graph_from_path;
 use rfc_graph::json::JsonValue;
 use rfc_graph::UpdateOp;
@@ -45,6 +50,14 @@ pub struct EngineConfig {
 /// One registered graph: the dynamic solver behind its own lock.
 struct GraphSlot {
     solver: Mutex<DynamicRfcSolver>,
+}
+
+impl GraphSlot {
+    fn new(solver: DynamicRfcSolver) -> Arc<GraphSlot> {
+        Arc::new(GraphSlot {
+            solver: Mutex::new(solver),
+        })
+    }
 }
 
 /// The in-process request handler: named-graph registry + request dispatch.
@@ -97,6 +110,33 @@ impl LocalEngine {
             })
     }
 
+    /// Runs `f` on the solver of `graph` under its lock. A slot whose lock a
+    /// panicking request poisoned is first replaced by a rebuilt one (see the
+    /// module docs); a request that was waiting on the lock when the panic
+    /// happened retries on the replacement.
+    fn with_solver<R>(
+        &self,
+        graph: &str,
+        f: impl FnOnce(&mut DynamicRfcSolver) -> R,
+    ) -> Result<R, ErrorResponse> {
+        loop {
+            let slot = self.slot(graph)?;
+            let locked = slot.solver.lock();
+            match locked {
+                Ok(mut solver) => return Ok(f(&mut solver)),
+                Err(poisoned) => {
+                    let rebuilt = GraphSlot::new(poisoned.into_inner().rebuilt());
+                    let mut graphs = self.graphs.write().expect("registry lock poisoned");
+                    // A concurrent request may already have swapped in a rebuilt
+                    // slot, or a `load` a new graph: replace only the poisoned one.
+                    if graphs.get(graph).is_some_and(|s| Arc::ptr_eq(s, &slot)) {
+                        graphs.insert(graph.to_string(), rebuilt);
+                    }
+                }
+            }
+        }
+    }
+
     /// Registers a cancel token for the duration of the returned guard.
     fn track_query(&self, token: CancelToken) -> QueryGuard<'_> {
         let id = self.next_query_id.fetch_add(1, Ordering::Relaxed);
@@ -113,9 +153,7 @@ impl LocalEngine {
         })?;
         let (n, m) = (loaded.num_vertices(), loaded.num_edges());
         let solver = DynamicRfcSolver::new(loaded).with_cache_capacity(self.config.cache_capacity);
-        let slot = Arc::new(GraphSlot {
-            solver: Mutex::new(solver),
-        });
+        let slot = GraphSlot::new(solver);
         self.graphs
             .write()
             .expect("registry lock poisoned")
@@ -129,36 +167,26 @@ impl LocalEngine {
     }
 
     fn handle_solve(&self, graph: &str, spec: &QuerySpec) -> Result<String, ErrorResponse> {
-        let slot = self.slot(graph)?;
         let token = CancelToken::new();
         let _guard = self.track_query(token.clone());
         let query = spec.to_query(token, self.config.default_time_limit);
-        let mut solver = slot.solver.lock().expect("solver lock poisoned");
         let solution = if let Some(members) = spec.portfolio {
-            if spec.shard.is_some() {
-                return Err(ErrorResponse::new(
-                    ErrorCode::InvalidParams,
-                    "\"portfolio\" cannot be combined with \"shard\"",
-                ));
-            }
             // The racing portfolio solves a snapshot of the committed graph; the
             // per-component dynamic cache is bypassed, so budget-bound answers
             // always carry a freshly certified upper bound. The slot lock is
             // released once the snapshot is taken so updates are not blocked for
             // the whole (potentially long) race.
-            let snapshot = RfcSolver::new(solver.graph().clone());
-            drop(solver);
+            let snapshot =
+                self.with_solver(graph, |solver| RfcSolver::new(solver.graph().clone()))?;
             let config = PortfolioConfig::new(members).with_anytime(spec.anytime);
             snapshot
                 .solve_portfolio(&query, &config)
-                .map_err(|e| ErrorResponse::new(ErrorCode::InvalidParams, e.to_string()))?
-                .solution
+                .map(|outcome| outcome.solution)
         } else {
-            let shard = spec.shard.unwrap_or_else(Shard::full);
-            solver
-                .solve_shard(&query, shard)
-                .map_err(|e| ErrorResponse::new(ErrorCode::InvalidParams, e.to_string()))?
+            self.with_solver(graph, |solver| solver.solve(&query))?
         };
+        let solution =
+            solution.map_err(|e| ErrorResponse::new(ErrorCode::InvalidParams, e.to_string()))?;
         Ok(solve_response(graph, &solution))
     }
 
@@ -168,24 +196,18 @@ impl LocalEngine {
         spec: &EnumSpec,
         emit: &mut dyn FnMut(&str) -> io::Result<()>,
     ) -> Result<Result<String, ErrorResponse>, io::Error> {
-        let slot = match self.slot(graph) {
-            Ok(slot) => slot,
-            Err(e) => return Ok(Err(e)),
-        };
         let token = CancelToken::new();
         let _guard = self.track_query(token.clone());
         let query = spec.to_query(token, self.config.default_time_limit);
-        let shard = spec.shard.unwrap_or_else(Shard::full);
         let mut sink = EmitSink { emit, error: None };
-        let mut solver = slot.solver.lock().expect("solver lock poisoned");
-        let outcome = match spec.limit {
-            Some(limit) => {
-                let mut limited = LimitSink::new(&mut sink, limit);
-                solver.enumerate_shard(&query, shard, &mut limited)
-            }
-            None => solver.enumerate_shard(&query, shard, &mut sink),
+        let outcome = self.with_solver(graph, |solver| match spec.limit {
+            Some(limit) => solver.enumerate(&query, &mut LimitSink::new(&mut sink, limit)),
+            None => solver.enumerate(&query, &mut sink),
+        });
+        let outcome = match outcome {
+            Ok(outcome) => outcome,
+            Err(e) => return Ok(Err(e)),
         };
-        drop(solver);
         if let Some(error) = sink.error {
             // The client hung up mid-stream: surface the I/O error so the
             // connection loop closes instead of writing a terminal line into the void.
@@ -202,8 +224,14 @@ impl LocalEngine {
     }
 
     fn handle_update(&self, graph: &str, ops: &[UpdateOp]) -> Result<String, ErrorResponse> {
-        let slot = self.slot(graph)?;
-        let mut solver = slot.solver.lock().expect("solver lock poisoned");
+        self.with_solver(graph, |solver| Self::apply_update(solver, graph, ops))?
+    }
+
+    fn apply_update(
+        solver: &mut DynamicRfcSolver,
+        graph: &str,
+        ops: &[UpdateOp],
+    ) -> Result<String, ErrorResponse> {
         for (i, op) in ops.iter().enumerate() {
             solver.apply_op(op).map_err(|e| {
                 ErrorResponse::new(
@@ -212,8 +240,8 @@ impl LocalEngine {
                 )
             })?;
         }
-        // An implicit trailing commit: a request is a batch, and every replica
-        // observing the same request stream lands on the same committed graph.
+        // An implicit trailing commit: a request is a batch, so the graph every
+        // later request sees is the one this batch committed.
         let outcome = solver.commit();
         let response = JsonValue::object(vec![
             ("ok", JsonValue::from(true)),
@@ -249,37 +277,45 @@ impl LocalEngine {
     }
 
     fn handle_stats(&self) -> String {
-        let graphs = self.graphs.read().expect("registry lock poisoned");
-        let mut names: Vec<&String> = graphs.keys().collect();
+        let mut names: Vec<String> = self
+            .graphs
+            .read()
+            .expect("registry lock poisoned")
+            .keys()
+            .cloned()
+            .collect();
         names.sort();
-        let mut entries = Vec::with_capacity(names.len());
-        for name in names {
-            let slot = &graphs[name];
-            let solver = slot.solver.lock().expect("solver lock poisoned");
-            let cache = solver.cache_stats();
-            let cache_json = |s: rfc_core::CacheStats| {
-                JsonValue::object(vec![
-                    ("len", JsonValue::from(s.len)),
-                    ("hits", JsonValue::from(s.hits)),
-                    ("misses", JsonValue::from(s.misses)),
-                    ("evictions", JsonValue::from(s.evictions)),
-                ])
-            };
-            entries.push(JsonValue::object(vec![
-                ("name", JsonValue::string(name.as_str())),
-                ("n", JsonValue::from(solver.graph().num_vertices())),
-                ("m", JsonValue::from(solver.graph().num_edges())),
-                ("commits", JsonValue::from(solver.commits())),
-                ("pending_ops", JsonValue::from(solver.pending_ops())),
-                (
-                    "cache",
+        let cache_json = |s: rfc_core::CacheStats| {
+            JsonValue::object(vec![
+                ("len", JsonValue::from(s.len)),
+                ("hits", JsonValue::from(s.hits)),
+                ("misses", JsonValue::from(s.misses)),
+                ("evictions", JsonValue::from(s.evictions)),
+            ])
+        };
+        let entries: Vec<JsonValue> = names
+            .iter()
+            .filter_map(|name| {
+                self.with_solver(name, |solver| {
+                    let cache = solver.cache_stats();
                     JsonValue::object(vec![
-                        ("solve", cache_json(cache.solve)),
-                        ("enumerate", cache_json(cache.enumerate)),
-                    ]),
-                ),
-            ]));
-        }
+                        ("name", JsonValue::string(name.as_str())),
+                        ("n", JsonValue::from(solver.graph().num_vertices())),
+                        ("m", JsonValue::from(solver.graph().num_edges())),
+                        ("commits", JsonValue::from(solver.commits())),
+                        ("pending_ops", JsonValue::from(solver.pending_ops())),
+                        (
+                            "cache",
+                            JsonValue::object(vec![
+                                ("solve", cache_json(cache.solve)),
+                                ("enumerate", cache_json(cache.enumerate)),
+                            ]),
+                        ),
+                    ])
+                })
+                .ok()
+            })
+            .collect();
         JsonValue::object(vec![
             ("ok", JsonValue::from(true)),
             ("op", JsonValue::string("stats")),
@@ -551,19 +587,16 @@ mod tests {
             Some(0)
         );
 
-        // `anytime` without `portfolio` and `portfolio` + `shard` are typed errors.
-        for bad in [
+        // `anytime` without `portfolio` is a typed error.
+        let (lines, flow) = run(
+            &engine,
             r#"{"op":"solve","graph":"fig1","k":3,"delta":1,"anytime":true}"#,
-            r#"{"op":"solve","graph":"fig1","k":3,"delta":1,"portfolio":2,"shard":{"index":0,"count":2}}"#,
-        ] {
-            let (lines, flow) = run(&engine, bad);
-            assert_eq!(flow, Flow::Continue);
-            assert_eq!(
-                lines[0].get("error").and_then(JsonValue::as_str),
-                Some("invalid_params"),
-                "{bad}"
-            );
-        }
+        );
+        assert_eq!(flow, Flow::Continue);
+        assert_eq!(
+            lines[0].get("error").and_then(JsonValue::as_str),
+            Some("invalid_params")
+        );
     }
 
     #[test]
@@ -644,6 +677,87 @@ mod tests {
         assert!(best_after <= best_before);
         // The update really was committed.
         assert!(update[0].get("commits").and_then(JsonValue::as_u64) >= Some(1));
+    }
+
+    #[test]
+    fn a_poisoned_slot_is_rebuilt_from_the_committed_graph() {
+        let (engine, _dir) = engine_with_fig1();
+        let (update, _) = run(
+            &engine,
+            r#"{"op":"update","graph":"fig1","ops":[{"op":"remove_vertex","v":0}]}"#,
+        );
+        assert_eq!(update[0].get("ok").and_then(JsonValue::as_bool), Some(true));
+        let committed = engine
+            .with_solver("fig1", |solver| solver.graph().clone())
+            .unwrap();
+        // Warm the caches, then panic while holding the lock with an op buffered.
+        let _ = run(&engine, r#"{"op":"solve","graph":"fig1","k":3,"delta":1}"#);
+        let slot = engine.slot("fig1").unwrap();
+        let poisoner = std::thread::spawn(move || {
+            let mut solver = slot.solver.lock().unwrap();
+            solver.insert_vertex(rfc_graph::Attribute::A);
+            panic!("request failure on purpose");
+        });
+        assert!(poisoner.join().is_err());
+        assert!(engine.slot("fig1").unwrap().solver.is_poisoned());
+
+        let (lines, _) = run(&engine, r#"{"op":"solve","graph":"fig1","k":3,"delta":1}"#);
+        let response = &lines[0];
+        let expected = RfcSolver::new(committed.clone())
+            .solve(&rfc_core::Query::new(rfc_core::FairnessModel::Relative {
+                k: 3,
+                delta: 1,
+            }))
+            .unwrap();
+        assert_eq!(
+            response.get("termination").and_then(JsonValue::as_str),
+            Some(crate::protocol::termination_str(expected.termination))
+        );
+        let cliques = response
+            .get("cliques")
+            .and_then(JsonValue::as_array)
+            .unwrap();
+        assert_eq!(cliques.len(), 1);
+        assert_eq!(
+            cliques[0].get("size").and_then(JsonValue::as_u64),
+            Some(expected.best_size() as u64)
+        );
+        assert_eq!(expected.best_size(), 7, "vertex 0 is outside the optimum");
+        assert_eq!(
+            response
+                .get("reduction_cache_hit")
+                .and_then(JsonValue::as_bool),
+            Some(false),
+            "the rebuilt slot starts without the poisoned caches"
+        );
+        // The buffered op died with the poisoned solver; the graph is the committed one.
+        let (stats, _) = run(&engine, r#"{"op":"stats"}"#);
+        let graph = &stats[0]
+            .get("graphs")
+            .and_then(JsonValue::as_array)
+            .unwrap()[0];
+        assert_eq!(
+            graph.get("pending_ops").and_then(JsonValue::as_u64),
+            Some(0)
+        );
+        assert_eq!(
+            graph.get("n").and_then(JsonValue::as_u64),
+            Some(committed.num_vertices() as u64)
+        );
+        // The earlier `remove_vertex` tombstone is still enforced.
+        let (rejected, _) = run(
+            &engine,
+            r#"{"op":"update","graph":"fig1","ops":[{"op":"insert_edge","u":0,"v":7}]}"#,
+        );
+        assert_eq!(
+            rejected[0].get("error").and_then(JsonValue::as_str),
+            Some("invalid_params")
+        );
+        let message = rejected[0]
+            .get("message")
+            .and_then(JsonValue::as_str)
+            .unwrap();
+        assert!(message.contains("has been removed"), "{message}");
     }
 
     #[test]

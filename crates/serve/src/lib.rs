@@ -24,14 +24,17 @@
 //!   budgets are honored per request, and a bounded worker pool + queue depth
 //!   limit ([`server::Admission`]) returns a typed `overloaded` error instead of
 //!   stalling when the daemon is saturated.
-//! * **A multi-process shard executor** ([`executor::ShardedEngine`]): the daemon
-//!   can spawn N `maxfairclique worker` child processes over `std::process`
-//!   stdin/stdout pipes, replicate every graph into each worker, and fan a query
-//!   out with a distinct [`rfc_core::Shard`] per worker — component `i` belongs to
-//!   worker `i % N` — merging the per-shard incumbents / enumeration streams into
-//!   one answer. Process isolation means a worker crash degrades to a typed
-//!   `worker_failed` error (and a transparent respawn + state replay on the next
-//!   request) instead of taking the daemon down.
+//! * **In-process failure containment**: a request whose handler panics is
+//!   answered with a typed `internal` error, and the connection and the daemon
+//!   keep serving. A graph whose solver lock the panic poisoned is rebuilt from its
+//!   committed graph on next use ([`rfc_core::DynamicRfcSolver::rebuilt`]), so no
+//!   half-updated cache is ever served.
+//!
+//! There is one serving path: [`Server`] → [`LocalEngine`] →
+//! [`rfc_core::DynamicRfcSolver`]. A query's dirty components fan out across
+//! threads inside the dynamic solver; splitting queries by component across
+//! worker processes instead measured slower on both throughput and p99 (README,
+//! "Serving"), so the daemon runs in one process.
 //!
 //! The wire protocol, error codes and admission semantics are documented in the
 //! repository README ("Serving") and in [`protocol`].
@@ -40,16 +43,13 @@
 #![warn(missing_docs)]
 
 pub mod engine;
-pub mod executor;
 pub mod protocol;
 pub mod server;
-pub mod worker;
 
 use std::io;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 pub use engine::{EngineConfig, LocalEngine};
-pub use executor::ShardedEngine;
 pub use protocol::{ErrorCode, ErrorResponse, Request};
 pub use server::{Admission, ServeConfig, Server};
 
@@ -62,10 +62,10 @@ pub enum Flow {
     Shutdown,
 }
 
-/// One request handler: the in-process [`LocalEngine`] or the multi-process
-/// [`ShardedEngine`]. `emit` receives every response line (stream lines first,
-/// exactly one terminal line last) without trailing newlines; an `Err` from `emit`
-/// means the client is gone and the handler should stop streaming.
+/// One request handler: [`LocalEngine`] in the daemon, fakes in tests. `emit`
+/// receives every response line (stream lines first, exactly one terminal line
+/// last) without trailing newlines; an `Err` from `emit` means the client is gone
+/// and the handler should stop streaming.
 pub trait Handler: Send + Sync {
     /// Handles one raw request line.
     fn handle(&self, line: &str, emit: &mut dyn FnMut(&str) -> io::Result<()>) -> io::Result<Flow>;

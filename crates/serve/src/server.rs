@@ -2,18 +2,19 @@
 //! request lines, and admission control in front of the engine.
 //!
 //! The server is transport only — request semantics live behind the [`Handler`]
-//! trait ([`LocalEngine`] in-process, or [`ShardedEngine`] when worker
-//! processes are configured).
+//! trait, implemented by [`LocalEngine`]. It also contains failures: a handler
+//! that panics is caught per request, the client gets a typed `internal` error
+//! line, and the connection keeps serving.
 
 use std::collections::HashMap;
 use std::io::{self, BufRead, BufReader, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 
 use crate::engine::{EngineConfig, LocalEngine};
-use crate::executor::ShardedEngine;
 use crate::protocol::{ErrorCode, ErrorResponse, Request, MAX_LINE_BYTES};
 use crate::{Counters, Flow, Handler};
 
@@ -25,12 +26,6 @@ pub struct ServeConfig {
     /// Port to bind (`0` = OS-assigned ephemeral port; read it back via
     /// [`Server::local_addr`]).
     pub port: u16,
-    /// Number of `worker` child processes. `0` serves in-process; `n >= 1` spawns
-    /// `n` replicas and shards every query across them.
-    pub workers: usize,
-    /// Command line (argv) that starts one worker process, e.g.
-    /// `["maxfairclique", "worker"]`. Required when `workers > 0`.
-    pub worker_cmd: Vec<String>,
     /// Maximum requests executing concurrently before new ones queue.
     pub max_active: usize,
     /// Maximum requests waiting for a slot before the daemon answers `overloaded`.
@@ -47,8 +42,6 @@ impl Default for ServeConfig {
         Self {
             host: "127.0.0.1".to_string(),
             port: 0,
-            workers: 0,
-            worker_cmd: Vec::new(),
             max_active: 4,
             max_queue: 16,
             max_line_bytes: MAX_LINE_BYTES,
@@ -124,7 +117,7 @@ impl Drop for AdmissionPermit<'_> {
 
 /// Result of one bounded line read.
 #[derive(Debug)]
-pub enum ReadLine {
+enum ReadLine {
     /// A complete line (newline stripped, `\r` trimmed, lossy UTF-8).
     Line(String),
     /// The line exceeded the bound; it has been drained through its newline, so the
@@ -137,7 +130,7 @@ pub enum ReadLine {
 /// Reads one `\n`-terminated line of at most `max` bytes. Longer lines are consumed
 /// (through the terminating newline) without buffering them, keeping both the
 /// memory bound and the framing intact.
-pub fn read_line_bounded(reader: &mut dyn BufRead, max: usize) -> io::Result<ReadLine> {
+fn read_line_bounded(reader: &mut dyn BufRead, max: usize) -> io::Result<ReadLine> {
     let mut buf: Vec<u8> = Vec::new();
     loop {
         let (found, used) = {
@@ -223,24 +216,11 @@ pub struct Server {
 }
 
 impl Server {
-    /// Binds the listen socket and builds the engine (in-process for
-    /// `config.workers == 0`, otherwise the multi-process shard executor — which
-    /// spawns the worker children immediately).
+    /// Binds the listen socket and builds the in-process engine.
     pub fn bind(config: ServeConfig) -> io::Result<Server> {
         let listener = TcpListener::bind((config.host.as_str(), config.port))?;
         let counters = Arc::new(Counters::default());
-        let handler: Arc<dyn Handler> = if config.workers == 0 {
-            Arc::new(LocalEngine::new(
-                config.engine.clone(),
-                Arc::clone(&counters),
-            ))
-        } else {
-            Arc::new(ShardedEngine::spawn(
-                &config.worker_cmd,
-                config.workers,
-                Arc::clone(&counters),
-            )?)
-        };
+        let handler = Arc::new(LocalEngine::new(config.engine, Arc::clone(&counters)));
         Ok(Server {
             listener,
             handler,
@@ -379,9 +359,21 @@ fn serve_connection(
         } else {
             None
         };
-        let flow = handler.handle(&line, &mut send);
+        let flow = panic::catch_unwind(AssertUnwindSafe(|| handler.handle(&line, &mut send)));
         drop(permit);
-        match flow? {
+        let flow = match flow {
+            Ok(flow) => flow?,
+            Err(payload) => {
+                Counters::bump(&counters.errors);
+                let error = ErrorResponse::new(
+                    ErrorCode::Internal,
+                    format!("request failed: {}", panic_message(&*payload)),
+                );
+                send(&error.to_line())?;
+                Flow::Continue
+            }
+        };
+        match flow {
             Flow::Continue => {}
             Flow::Shutdown => {
                 stop.store(true, Ordering::Relaxed);
@@ -389,6 +381,15 @@ fn serve_connection(
             }
         }
     }
+}
+
+/// The message a panic was raised with (`panic!` payloads are `&str` or `String`).
+fn panic_message(payload: &(dyn std::any::Any + Send)) -> &str {
+    payload
+        .downcast_ref::<&str>()
+        .copied()
+        .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
+        .unwrap_or("panic")
 }
 
 #[cfg(test)]
@@ -468,5 +469,72 @@ mod tests {
         assert!(!needs_admission(r#"{"op":"metrics"}"#));
         assert!(!needs_admission(r#"{"op":"shutdown"}"#));
         assert!(!needs_admission("not json"));
+    }
+
+    /// Answers `ping` and panics on everything else.
+    struct PanickingHandler;
+
+    impl Handler for PanickingHandler {
+        fn handle(
+            &self,
+            line: &str,
+            emit: &mut dyn FnMut(&str) -> io::Result<()>,
+        ) -> io::Result<Flow> {
+            if !line.contains("\"ping\"") {
+                panic!("handler failure on purpose");
+            }
+            emit("{\"ok\":true,\"op\":\"ping\"}")?;
+            Ok(Flow::Continue)
+        }
+    }
+
+    #[test]
+    fn a_panicking_request_gets_an_internal_error_and_the_connection_survives() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let counters = Counters::default();
+        let server = std::thread::spawn(move || {
+            let (stream, _) = listener.accept().unwrap();
+            let (admission, stop) = (Admission::new(1, 0), AtomicBool::new(false));
+            serve_connection(
+                stream,
+                &PanickingHandler,
+                &admission,
+                &counters,
+                &stop,
+                MAX_LINE_BYTES,
+            )
+            .map(|()| Counters::read(&counters.errors))
+        });
+        let mut client = TcpStream::connect(addr).unwrap();
+        client
+            .set_read_timeout(Some(Duration::from_secs(30)))
+            .unwrap();
+        let mut reader = BufReader::new(client.try_clone().unwrap());
+        let mut round_trip = |request: &str| {
+            client.write_all(format!("{request}\n").as_bytes()).unwrap();
+            let mut line = String::new();
+            reader.read_line(&mut line).unwrap();
+            rfc_graph::json::JsonValue::parse(line.trim_end()).unwrap()
+        };
+
+        let failed = round_trip(r#"{"op":"solve","graph":"g","k":2}"#);
+        assert_eq!(failed.get("ok").and_then(|v| v.as_bool()), Some(false));
+        assert_eq!(
+            failed.get("error").and_then(|v| v.as_str()),
+            Some("internal")
+        );
+        let message = failed.get("message").and_then(|v| v.as_str()).unwrap();
+        assert!(message.contains("handler failure on purpose"), "{message}");
+        // The next request on the same connection is answered.
+        let pong = round_trip(r#"{"op":"ping"}"#);
+        assert_eq!(pong.get("ok").and_then(|v| v.as_bool()), Some(true));
+        // Hanging up ends the connection loop cleanly.
+        client.shutdown(Shutdown::Both).unwrap();
+        assert_eq!(
+            server.join().unwrap().unwrap(),
+            1,
+            "one typed error counted"
+        );
     }
 }

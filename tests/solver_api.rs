@@ -4,7 +4,7 @@
 //!   checked against a model-native brute-force oracle on the fixture graphs;
 //! * budgets (`time_limit` / `node_limit`) terminating early with
 //!   `Termination::BudgetExhausted` and a *verified* best-so-far clique;
-//! * cancellation, top-k objectives, batch solving, serial determinism, and the
+//! * cancellation, top-k objectives, serial determinism, and the
 //!   `max_fair_clique` compatibility wrapper agreeing with the solver.
 
 use std::time::Duration;
@@ -185,46 +185,6 @@ fn top_k_objective_returns_distinct_verified_cliques_best_first() {
             model
         ));
     }
-}
-
-#[test]
-fn batch_solving_matches_individual_queries() {
-    let solver = RfcSolver::new(fixtures::fig2_graph());
-    let mut queries = Vec::new();
-    for k in 1..=3usize {
-        queries.push(serial(Query::new(FairnessModel::Weak { k })));
-        queries.push(serial(Query::new(FairnessModel::Strong { k })));
-        queries.push(serial(Query::new(FairnessModel::Relative { k, delta: 1 })));
-    }
-    let individual: Vec<Option<usize>> = queries
-        .iter()
-        .map(|q| {
-            solver
-                .solve(q)
-                .unwrap()
-                .best()
-                .map(rfc_core::FairClique::size)
-        })
-        .collect();
-    for threads in [
-        ThreadCount::Fixed(2),
-        ThreadCount::Fixed(4),
-        ThreadCount::Auto,
-    ] {
-        let batch = solver.solve_batch(&queries, threads);
-        let batch_sizes: Vec<Option<usize>> = batch
-            .into_iter()
-            .map(|r| r.unwrap().best().map(rfc_core::FairClique::size))
-            .collect();
-        assert_eq!(batch_sizes, individual, "threads {threads:?}");
-    }
-    // One reduction pipeline per distinct k that survives the coloring gate (queries
-    // with 2k above the color count are answered infeasible without preprocessing),
-    // regardless of how many queries or batch repetitions were served.
-    let feasible_ks = (1..=3usize)
-        .filter(|k| 2 * k <= solver.num_colors())
-        .count();
-    assert_eq!(solver.preprocessing_runs(), feasible_ks);
 }
 
 #[test]
