@@ -21,10 +21,21 @@
 //! * [`reduce_store`] — the composition: peel → extract → exact pipeline,
 //!   returning the fully reduced residual and all statistics.
 //!
-//! Memory model: peeling holds two `u32` counters plus one flag per vertex
-//! (~9 bytes/vertex); the sequential scan streams adjacency through a fixed
-//! buffer, and the cascade touches only the neighbor lists of vertices that just
-//! died (targeted [`neighbors_into`](GraphStore::neighbors_into) reads).
+//! Memory and I/O model: the peel holds two signed 4-byte counters and one flag
+//! per vertex (9 bytes/vertex) plus the current and next wave's ids. Its I/O is
+//! one full adjacency scan followed by one batch visit per later wave:
+//!
+//! * **Wave 1 rides on the seed scan.** A vertex's wave-1 fate depends only on
+//!   its own list, so when the scan hands over `v`'s list the peel counts it,
+//!   and if `v` fails the criterion it dies and decrements its neighbors'
+//!   counters right there, from the same list. A neighbor scanned later starts
+//!   below zero and reaches its true count when its own list arrives, hence the
+//!   signed counters.
+//! * **Later waves are batch visits.** Each wave's dead vertices are visited in
+//!   ascending order ([`GraphStore::visit_adjacency`]), which a disk store serves
+//!   with a few coalesced reads instead of one read per dead vertex.
+//!
+//! [`extract_residual`] then visits the survivors' lists only.
 
 use std::io;
 
@@ -43,14 +54,15 @@ pub struct PeelStats {
     pub initial_edges: usize,
     /// Vertices surviving the peel.
     pub surviving_vertices: usize,
-    /// Targeted random-access adjacency reads performed by the cascade.
+    /// Adjacency lists applied for dead vertices: each dead vertex's list is
+    /// applied once, to decrement its surviving neighbors' counters.
     pub cascade_reads: u64,
     /// Peeling waves until the fixpoint: the seed scan's failures are round 1, the
     /// deaths they trigger are round 2, and so on. 0 means nothing was peeled.
     pub rounds: u64,
-    /// Wall-clock time of the initial sequential scan, in microseconds.
+    /// Wall-clock time of the seed scan, wave 1 included, in microseconds.
     pub scan_micros: u64,
-    /// Wall-clock time of the peeling cascade, in microseconds.
+    /// Wall-clock time of the waves after the first, in microseconds.
     pub cascade_micros: u64,
 }
 
@@ -76,37 +88,43 @@ impl PeelOutcome {
 }
 
 /// Whether a vertex still meets the fair-core criterion given its surviving
-/// per-attribute neighbor counts.
-fn meets_criterion(k: usize, attr: Attribute, cnt_a: u32, cnt_b: u32) -> bool {
+/// per-attribute neighbor counts. A negative count, which only adjacency that is
+/// not symmetric can leave behind, fails.
+fn meets_criterion(
+    k: usize,
+    attr: Attribute,
+    cnt_a: impl Into<i64>,
+    cnt_b: impl Into<i64>,
+) -> bool {
+    let (cnt_a, cnt_b, k) = (cnt_a.into(), cnt_b.into(), k as i64);
     let (need_a, need_b) = match attr {
-        Attribute::A => (k.saturating_sub(1), k),
-        Attribute::B => (k, k.saturating_sub(1)),
+        Attribute::A => ((k - 1).max(0), k),
+        Attribute::B => (k, (k - 1).max(0)),
     };
-    (cnt_a as usize) >= need_a
-        && (cnt_b as usize) >= need_b
-        && (cnt_a as usize + cnt_b as usize) >= (2 * k).saturating_sub(1)
+    cnt_a >= need_a && cnt_b >= need_b && cnt_a + cnt_b >= (2 * k - 1).max(0)
 }
 
 /// Iterated fair-core peeling over any [`GraphStore`], keeping only per-vertex
 /// degree counters and alive flags in memory.
 ///
-/// One buffered sequential pass initializes per-attribute neighbor counts; the
-/// cascade then repeatedly removes vertices that fall below the criterion,
-/// fetching only the adjacency of vertices that just died. Sound for every
-/// fairness model with parameter `k` (see the module docs) and independent of
-/// `δ`, matching how the exact pipeline is cached per `(k, config)`.
+/// One adjacency scan counts each vertex's neighbors per attribute and removes
+/// the vertices that fail on their full counts (wave 1); each later wave then
+/// visits the lists of the vertices the previous wave killed, in one ascending
+/// batch. Sound for every fairness model with parameter `k` (see the module
+/// docs) and independent of `δ`, matching how the exact pipeline is cached per
+/// `(k, config)`.
 pub fn fair_core_peel<S: GraphStore + ?Sized>(store: &S, k: usize) -> io::Result<PeelOutcome> {
     fair_core_peel_controlled(store, k, None)
         .map(|o| o.expect("uncontrolled peel cannot be interrupted"))
 }
 
-/// How many dead-vertex adjacency reads the cascade performs between budget/cancel
-/// probes. Each read is a targeted store access, so a chunk bounds the time between
-/// probes even on stores with slow random reads.
+/// How many adjacency lists the peel applies between budget/cancel probes. A
+/// wave's batch visit is split into chunks of this many lists, which bounds the
+/// time between probes even on stores with slow reads.
 const PEEL_CHECK_CHUNK: usize = 4096;
 
 /// [`fair_core_peel`] with a cooperative stop check between waves and every
-/// [`PEEL_CHECK_CHUNK`] cascade reads.
+/// [`PEEL_CHECK_CHUNK`] lists, the seed scan's included.
 ///
 /// Returns `Ok(None)` when the control trips: the partially peeled state is
 /// discarded (it *over*-approximates the survivor set, so discarding is the only
@@ -129,69 +147,88 @@ pub(crate) fn fair_core_peel_controlled<S: GraphStore + ?Sized>(
         ..PeelStats::default()
     };
     let mut alive = vec![true; n];
-    let mut cnt_a = vec![0u32; n];
-    let mut cnt_b = vec![0u32; n];
+    let mut cnt_a = vec![0i32; n];
+    let mut cnt_b = vec![0i32; n];
 
-    // Pass 1: sequential scan to seed the per-attribute neighbor counts.
+    // Wave 1, folded into the seed scan: each vertex's fate on its full counts.
     let t = std::time::Instant::now();
+    let mut stopped = false;
     store.scan_adjacency(&mut |v, nbrs| {
-        let (mut a, mut b) = (0u32, 0u32);
-        for &u in nbrs {
-            match store.attribute(u) {
-                Attribute::A => a += 1,
-                Attribute::B => b += 1,
-            }
+        if stopped || (v as usize % PEEL_CHECK_CHUNK == PEEL_CHECK_CHUNK - 1 && tripped(ctrl)) {
+            stopped = true;
+            return;
         }
-        cnt_a[v as usize] = a;
-        cnt_b[v as usize] = b;
+        // Branch-free counts: attributes along a list are as good as random.
+        let b: i32 = nbrs
+            .iter()
+            .map(|&u| store.attribute(u).index() as i32)
+            .sum();
+        let a = nbrs.len() as i32 - b;
+        let attr = store.attribute(v);
+        if meets_criterion(k, attr, a, b) {
+            cnt_a[v as usize] += a;
+            cnt_b[v as usize] += b;
+            return;
+        }
+        alive[v as usize] = false;
+        stats.cascade_reads += 1;
+        let cnt = match attr {
+            Attribute::A => &mut cnt_a,
+            Attribute::B => &mut cnt_b,
+        };
+        // Dead neighbors are decremented too: their counters are never read
+        // again, and skipping them would cost a hard-to-predict branch per entry.
+        for &u in nbrs {
+            cnt[u as usize] -= 1;
+        }
     })?;
     stats.scan_micros = t.elapsed().as_micros() as u64;
-    if tripped(ctrl) {
+    if stopped || tripped(ctrl) {
         return Ok(None);
     }
+    if stats.cascade_reads > 0 {
+        stats.rounds = 1;
+    }
 
-    // Pass 2: cascade, in waves: every vertex the seed scan kills is round 1, the
-    // deaths those removals trigger are round 2, and so on until the fixpoint. The
-    // wave structure changes only the processing order (the surviving set is the
-    // same fixpoint regardless) and gives the peel a meaningful depth counter.
+    // Waves 2, 3, …: the survivors of wave 1 that fail on the decremented counts,
+    // then the vertices each wave's removals kill, until the fixpoint. Which
+    // vertex dies in which wave does not depend on the order within a wave, so
+    // each wave is read as one ascending batch.
     let t = std::time::Instant::now();
     let mut frontier: Vec<VertexId> = Vec::new();
     for v in 0..n {
-        if !meets_criterion(k, store.attribute(v as VertexId), cnt_a[v], cnt_b[v]) {
+        if alive[v] && !meets_criterion(k, store.attribute(v as VertexId), cnt_a[v], cnt_b[v]) {
             alive[v] = false;
             frontier.push(v as VertexId);
         }
     }
-    let mut buf: Vec<VertexId> = Vec::new();
     let mut next: Vec<VertexId> = Vec::new();
     while !frontier.is_empty() {
-        if tripped(ctrl) {
-            return Ok(None);
-        }
         stats.rounds += 1;
-        for (processed, &dead) in frontier.iter().enumerate() {
-            if processed % PEEL_CHECK_CHUNK == PEEL_CHECK_CHUNK - 1 && tripped(ctrl) {
+        for chunk in frontier.chunks(PEEL_CHECK_CHUNK) {
+            if tripped(ctrl) {
                 return Ok(None);
             }
-            buf.clear();
-            store.neighbors_into(dead, &mut buf)?;
-            stats.cascade_reads += 1;
-            let dead_attr = store.attribute(dead);
-            for &u in &buf {
-                let ui = u as usize;
-                if !alive[ui] {
-                    continue;
+            store.visit_adjacency(chunk, &mut |dead, nbrs| {
+                let dead_attr = store.attribute(dead);
+                for &u in nbrs {
+                    let ui = u as usize;
+                    if !alive[ui] {
+                        continue;
+                    }
+                    match dead_attr {
+                        Attribute::A => cnt_a[ui] -= 1,
+                        Attribute::B => cnt_b[ui] -= 1,
+                    }
+                    if !meets_criterion(k, store.attribute(u), cnt_a[ui], cnt_b[ui]) {
+                        alive[ui] = false;
+                        next.push(u);
+                    }
                 }
-                match dead_attr {
-                    Attribute::A => cnt_a[ui] -= 1,
-                    Attribute::B => cnt_b[ui] -= 1,
-                }
-                if !meets_criterion(k, store.attribute(u), cnt_a[ui], cnt_b[ui]) {
-                    alive[ui] = false;
-                    next.push(u);
-                }
-            }
+            })?;
+            stats.cascade_reads += chunk.len() as u64;
         }
+        next.sort_unstable();
         frontier.clear();
         std::mem::swap(&mut frontier, &mut next);
     }
@@ -222,10 +259,10 @@ impl Residual {
     }
 }
 
-/// Extracts the `alive` subgraph of a store as a compact [`AttributedGraph`] via
-/// one sequential adjacency scan. Resident memory is proportional to the
-/// *residual* (survivor) size, not the store size, apart from the `n`-sized id
-/// translation table.
+/// Extracts the `alive` subgraph of a store as a compact [`AttributedGraph`] by
+/// visiting the survivors' adjacency lists only. Resident memory is proportional
+/// to the *residual* (survivor) size, not the store size, apart from the
+/// `n`-sized id translation table.
 pub fn extract_residual<S: GraphStore + ?Sized>(store: &S, alive: &[bool]) -> io::Result<Residual> {
     assert_eq!(alive.len(), store.num_vertices(), "alive flags mismatch");
     const DEAD: VertexId = VertexId::MAX;
@@ -239,11 +276,8 @@ pub fn extract_residual<S: GraphStore + ?Sized>(store: &S, alive: &[bool]) -> io
     }
     let attrs: Vec<Attribute> = vertex_map.iter().map(|&v| store.attribute(v)).collect();
     let mut builder = GraphBuilder::with_attributes(attrs);
-    store.scan_adjacency(&mut |v, nbrs| {
+    store.visit_adjacency(&vertex_map, &mut |v, nbrs| {
         let nv = new_id[v as usize];
-        if nv == DEAD {
-            return;
-        }
         for &u in nbrs {
             // Each surviving edge is seen from both endpoints; add it once.
             if v < u && new_id[u as usize] != DEAD {

@@ -125,7 +125,7 @@ impl ScaleSolver {
 
     /// [`from_store`](Self::from_store) under a [`Budget`] / [`CancelToken`]: the
     /// out-of-core peel checks the control between waves (and every few thousand
-    /// cascade reads), and extraction is gated on it too, so a `.rfcg` solve with a
+    /// adjacency lists), and extraction is gated on it too, so a `.rfcg` solve with a
     /// time limit stays cancellable during its most expensive phase.
     ///
     /// A trip returns [`ScaleError::BudgetExhausted`] / [`ScaleError::Cancelled`]

@@ -13,13 +13,20 @@
 //!
 //! * per-vertex metadata in O(1): [`attribute`](GraphStore::attribute) and
 //!   [`degree`](GraphStore::degree);
-//! * a **sequential adjacency scan** in vertex order
-//!   ([`scan_adjacency`](GraphStore::scan_adjacency)) — the bulk primitive every
-//!   streaming pass is built on, implemented with buffered sequential I/O by the
-//!   on-disk store;
-//! * **targeted random access** ([`neighbors_into`](GraphStore::neighbors_into)) for
-//!   the peeling cascade, which only ever touches the adjacency of vertices that
-//!   just died.
+//! * a **full adjacency scan** in vertex order
+//!   ([`scan_adjacency`](GraphStore::scan_adjacency)), which the peel's seed scan
+//!   is built on;
+//! * a **batch visit** of the lists of an ascending vertex set
+//!   ([`visit_adjacency`](GraphStore::visit_adjacency)), which the peel's later
+//!   waves and residual extraction use;
+//! * **single-list lookups** ([`neighbors_into`](GraphStore::neighbors_into)) for
+//!   callers that need a handful of lists.
+//!
+//! I/O model of the on-disk store: all three read the neighbor section with
+//! positional reads, never through a shared file cursor. The scan and the batch
+//! visit merge the lists of nearby requested vertices into one read of at most
+//! 1 MiB, so their cost is a few large reads rather than one read per list; a
+//! lookup reads just its own list.
 //!
 //! Two implementations exist: [`AttributedGraph`] (adapted below, zero behavior
 //! change) and [`crate::disk::DiskCsr`] (the binary on-disk CSR behind the `.rfcg`
@@ -52,17 +59,36 @@ pub trait GraphStore {
 
     /// Appends the sorted neighbor list of `v` to `buf` (which is *not* cleared).
     ///
-    /// This is the random-access primitive; on a disk-backed store it costs one
-    /// seek + read of `degree(v)` entries, so callers should reserve it for
-    /// targeted lookups (e.g. the peeling cascade) and use
-    /// [`scan_adjacency`](GraphStore::scan_adjacency) for bulk passes.
+    /// This is the single-list lookup; on a disk-backed store it costs one read
+    /// of `degree(v)` entries, so callers with many lists to read should use
+    /// [`visit_adjacency`](GraphStore::visit_adjacency) or
+    /// [`scan_adjacency`](GraphStore::scan_adjacency) instead.
     fn neighbors_into(&self, v: VertexId, buf: &mut Vec<VertexId>) -> io::Result<()>;
 
     /// Streams the adjacency of every vertex in ascending vertex order:
     /// `f(v, neighbors)` is called exactly once per vertex, including isolated
-    /// vertices (with an empty slice). Implementations perform sequential,
-    /// buffered I/O — one full pass over the neighbor section.
+    /// vertices (with an empty slice). One pass over the neighbor section.
     fn scan_adjacency(&self, f: &mut dyn FnMut(VertexId, &[VertexId])) -> io::Result<()>;
+
+    /// Calls `f(v, neighbors)` once for each `v` of `ascending`, in that order.
+    ///
+    /// Ids should be ascending: a disk-backed store then reads the lists of nearby
+    /// vertices together, in a few large reads. Other orders get the same lists,
+    /// at more reads. The default reads each list with
+    /// [`neighbors_into`](GraphStore::neighbors_into).
+    fn visit_adjacency(
+        &self,
+        ascending: &[VertexId],
+        f: &mut dyn FnMut(VertexId, &[VertexId]),
+    ) -> io::Result<()> {
+        let mut buf = Vec::new();
+        for &v in ascending {
+            buf.clear();
+            self.neighbors_into(v, &mut buf)?;
+            f(v, &buf);
+        }
+        Ok(())
+    }
 
     /// Estimated bytes of process-resident memory this store holds onto (indexes,
     /// caches, resident sections) — *not* the on-disk footprint. Used by the scale
@@ -110,6 +136,17 @@ impl GraphStore for AttributedGraph {
 
     fn scan_adjacency(&self, f: &mut dyn FnMut(VertexId, &[VertexId])) -> io::Result<()> {
         for v in 0..AttributedGraph::num_vertices(self) as VertexId {
+            f(v, self.neighbors(v));
+        }
+        Ok(())
+    }
+
+    fn visit_adjacency(
+        &self,
+        ascending: &[VertexId],
+        f: &mut dyn FnMut(VertexId, &[VertexId]),
+    ) -> io::Result<()> {
+        for &v in ascending {
             f(v, self.neighbors(v));
         }
         Ok(())

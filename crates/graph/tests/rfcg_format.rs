@@ -183,13 +183,17 @@ fn corrupt_magic_version_and_counts_are_rejected() {
     std::fs::remove_file(&path).ok();
 
     type Corruption = fn(&mut Vec<u8>);
-    let corruptions: [(&str, Corruption); 4] = [
+    let corruptions: [(&str, Corruption); 5] = [
         ("magic", |b| b[0] = b'X'),
         ("version", |b| b[4] = 99),
         // Flipping n desynchronizes the declared and actual section sizes.
         ("vertex count", |b| b[8] ^= 1),
         // Flipping m does the same for the neighbor section.
         ("edge count", |b| b[16] ^= 1),
+        // An edge count whose section size overflows a u64.
+        ("edge count overflow", |b| {
+            b[16..24].copy_from_slice(&(1u64 << 62).to_le_bytes())
+        }),
     ];
     for (what, corrupt) in corruptions {
         let p = temp_path(&format!("corrupt_{}.rfcg", what.replace(' ', "_")));
@@ -228,4 +232,64 @@ fn empty_and_isolated_graphs_have_minimal_files() {
         assert_eq!(store.degree(v), 0);
     }
     std::fs::remove_file(&p).ok();
+}
+
+/// One streaming store shared by two threads: both start together and read
+/// every list through `neighbors_into` and `visit_adjacency`, and every list
+/// must equal the resident store's. Reads that went through a shared file
+/// cursor (seek, then read) could pick up the other thread's position.
+#[test]
+fn one_streaming_store_serves_two_threads_at_once() {
+    // Degrees 2 to 8 spread over 30k vertices, so the two threads' reads land at
+    // many different positions.
+    let n: VertexId = 30_000;
+    let mut b = GraphBuilder::new(n as usize);
+    for v in 0..n {
+        for &step in &[1, 7, 131, 4099][..1 + v as usize % 4] {
+            b.add_edge(v, (v + step) % n);
+        }
+    }
+    let g = b.build().unwrap();
+    let path = temp_path("shared.rfcg");
+    write_rfcg(&g, &path).unwrap();
+    let shared = DiskCsr::open(&path).unwrap();
+    let resident = DiskCsr::open_resident(&path).unwrap();
+    let all: Vec<VertexId> = (0..n).collect();
+    let start = std::sync::Barrier::new(2);
+
+    let wrong_lists = || {
+        start.wait();
+        let mut wrong = 0usize;
+        let (mut got, mut want) = (Vec::new(), Vec::new());
+        for _pass in 0..3 {
+            for &v in &all {
+                got.clear();
+                want.clear();
+                resident.neighbors_into(v, &mut want).unwrap();
+                if shared.neighbors_into(v, &mut got).is_err() || got != want {
+                    wrong += 1;
+                }
+            }
+        }
+        let mut visited = 0;
+        let visit = shared.visit_adjacency(&all, &mut |v, nbrs| {
+            want.clear();
+            resident.neighbors_into(v, &mut want).unwrap();
+            if nbrs != want.as_slice() {
+                wrong += 1;
+            }
+            visited += 1;
+        });
+        if visit.is_err() || visited != all.len() {
+            wrong += 1;
+        }
+        wrong
+    };
+    std::thread::scope(|s| {
+        let threads = [s.spawn(wrong_lists), s.spawn(wrong_lists)];
+        for t in threads {
+            assert_eq!(t.join().unwrap(), 0, "lists read wrong under sharing");
+        }
+    });
+    std::fs::remove_file(&path).ok();
 }
